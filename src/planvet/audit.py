@@ -7,23 +7,20 @@ of the release boundary and are out of scope here.
 
 from __future__ import annotations
 
-import json
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import jsonschema
 
 from . import __version__ as _tool_version
 from .catalog import ActionCatalog, ValidatedPolicy
-from .corpus import PROXY_APPROVAL_SOURCE, Corpus
+from .corpus import PROXY_APPROVAL_SOURCE, Corpus, PackageFile, TaskRecord, read_packages
 from .engine import MODE_DEFER, MODE_REMOVE, enforce, order_chain_depth
 from .errors import IoError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
-from .util import canonical_json, sha256_file, sha256_text
+from .util import canonical_json, read_json, sha256_file, sha256_text
 
 # Declared baseline pattern set, versioned and hash-tracked. Hostname and
 # user-id shapes are necessarily heuristic; the pattern file is an input,
@@ -179,13 +176,100 @@ def privacy_scan(
 # Release gate
 # ---------------------------------------------------------------------------
 
-def load_package_schema() -> dict:
-    from importlib import resources
+def load_gate_inputs(
+    patterns_path: Path | str | None, terms_path: Path | str | None
+) -> tuple[dict | None, tuple[str, ...]]:
+    """Read the privacy pattern file and the forbidden-term list (one term per line)."""
+    patterns = read_json(patterns_path) if patterns_path else None
+    terms: tuple[str, ...] = ()
+    if terms_path:
+        text = Path(terms_path).read_text(encoding="utf-8")
+        terms = tuple(line.strip() for line in text.splitlines() if line.strip())
+    return patterns, terms
 
-    with resources.files("planvet").joinpath("schema/incident_package.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
+
+class ReleaseGate:
+    """Privacy, parseability and mapping gates, fed one package file at a time.
+
+    ``add`` takes each ``PackageFile`` of a corpus pass (see
+    ``corpus.read_packages``); ``report`` gives the verdict once every file
+    has been added. Feeding the gate from the loader's pass lets one read
+    of each file serve both.
+
+    Also surfaces approval-gap suggestions: approval-gated catalog actions
+    executed in some baseline whose only approval evidence is the mapping
+    contract proxy (or none at all). Suggestions are candidates for manual
+    review, never auto-activated, and do not fail the gate.
+    """
+
+    def __init__(
+        self,
+        catalog: ActionCatalog,
+        mapping_rules: Sequence[MappingRule],
+        *,
+        forbidden_terms: Sequence[str] = (),
+        patterns: Mapping[str, str] | None = None,
+    ) -> None:
+        self.catalog = catalog
+        self.mapping_rules = mapping_rules
+        self.forbidden_terms = forbidden_terms
+        self.patterns = patterns
+        self.files = 0
+        self.findings = 0
+        self.parse_failures: list[str] = []
+        self.unmatched = 0
+        self.ambiguous = 0
+        self.gaps: dict[str, int] = {}
+
+    def add(self, package: PackageFile) -> None:
+        self.files += 1
+        # Every parsed document is scanned, schema-valid or not.
+        self.findings += len(
+            privacy_scan([(package.name, package.document)], self.forbidden_terms, self.patterns)
+        )
+        if package.defect is not None:
+            self.parse_failures.append(str(package.defect))
+            return
+        doc = package.document
+        tasks = [
+            TaskRecord(t["task_id"], t["text"], t["order_index"])
+            for t in doc.get("extracted_tasks", ())
+        ]
+        if tasks:
+            result = map_tasks(tasks, self.mapping_rules, self.catalog)
+            self.unmatched += len(result.unmatched)
+            self.ambiguous += len(result.ambiguous)
+        recorded = {
+            ev["action_id"] for ev in doc["approvals"] if ev["source"] != PROXY_APPROVAL_SOURCE
+        }
+        for action in doc["mapped_human_actions"]:
+            if (
+                action in self.catalog
+                and self.catalog.get(action).approval_gate
+                and action not in recorded
+            ):
+                self.gaps[action] = self.gaps.get(action, 0) + 1
+
+    def report(self) -> GateReport:
+        return GateReport(
+            privacy_pass=not self.findings,
+            privacy_finding_count=self.findings,
+            parseability_pass=not self.parse_failures,
+            parse_failures=list(self.parse_failures),
+            mapping_pass=(self.unmatched == 0 and self.ambiguous == 0),
+            unmatched_tasks=self.unmatched,
+            ambiguous_tasks=self.ambiguous,
+            approval_gaps=[
+                {
+                    "action_id": action,
+                    "suggestion": f"require_approval({action})",
+                    "baseline_occurrences": count,
+                    "note": "historical gap: baseline support carries no recorded approval evidence",
+                }
+                for action, count in sorted(self.gaps.items())
+            ],
+            empty_corpus=not self.files,
+        )
 
 
 def release_gate(
@@ -196,89 +280,11 @@ def release_gate(
     forbidden_terms: Sequence[str] = (),
     patterns: Mapping[str, str] | None = None,
 ) -> GateReport:
-    """Run the privacy, parseability, and mapping gates over a corpus directory.
-
-    Also surfaces approval-gap suggestions: approval-gated catalog actions
-    executed in some baseline whose only approval evidence is the mapping
-    contract proxy (or none at all). Suggestions are candidates for manual
-    review, never auto-activated, and do not fail the gate.
-    """
-    corpus_dir = Path(corpus_dir)
-    files = sorted(corpus_dir.glob("*.json"))
-    schema = load_package_schema()
-    validator = jsonschema.Draft7Validator(schema)
-
-    documents: list[tuple[str, object]] = []
-    parse_failures: list[str] = []
-    packages: list[dict] = []
-    for path in files:
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            parse_failures.append(f"{path.name}: invalid JSON: {exc}")
-            continue
-        documents.append((path.name, obj))
-        errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-        if errors:
-            first = errors[0]
-            location = "/".join(str(p) for p in first.absolute_path) or "<root>"
-            parse_failures.append(f"{path.name}: {location}: {first.message}")
-            continue
-        packages.append(obj)
-
-    findings = privacy_scan(documents, forbidden_terms, patterns)
-
-    unmatched = 0
-    ambiguous = 0
-    from .corpus import TaskRecord  # local import keeps module edges one-way
-
-    for pkg in packages:
-        tasks = [
-            TaskRecord(t.get("task_id", ""), t.get("text", ""), t.get("order_index", 0))
-            for t in pkg.get("extracted_tasks", ())
-        ]
-        if not tasks:
-            continue
-        result = map_tasks(tasks, mapping_rules, catalog)
-        unmatched += len(result.unmatched)
-        ambiguous += len(result.ambiguous)
-
-    approval_gaps = _approval_gaps(packages, catalog)
-
-    return GateReport(
-        privacy_pass=not findings,
-        privacy_finding_count=len(findings),
-        parseability_pass=not parse_failures,
-        parse_failures=parse_failures,
-        mapping_pass=(unmatched == 0 and ambiguous == 0),
-        unmatched_tasks=unmatched,
-        ambiguous_tasks=ambiguous,
-        approval_gaps=approval_gaps,
-        empty_corpus=not files,
-    )
-
-
-def _approval_gaps(packages: Sequence[dict], catalog: ActionCatalog) -> list[dict]:
-    """Gated actions appearing in baselines without recorded (non-proxy) approval."""
-    gaps: dict[str, int] = {}
-    for pkg in packages:
-        recorded = {
-            ev.get("action_id")
-            for ev in pkg.get("approvals", ())
-            if ev.get("source") != PROXY_APPROVAL_SOURCE
-        }
-        for action in pkg.get("mapped_human_actions", ()):
-            if action in catalog and catalog.get(action).approval_gate and action not in recorded:
-                gaps[action] = gaps.get(action, 0) + 1
-    return [
-        {
-            "action_id": action,
-            "suggestion": f"require_approval({action})",
-            "baseline_occurrences": count,
-            "note": "historical gap: baseline support carries no recorded approval evidence",
-        }
-        for action, count in sorted(gaps.items())
-    ]
+    """Run the privacy, parseability, and mapping gates over a corpus directory."""
+    gate = ReleaseGate(catalog, mapping_rules, forbidden_terms=forbidden_terms, patterns=patterns)
+    for package in read_packages(corpus_dir):
+        gate.add(package)
+    return gate.report()
 
 
 # ---------------------------------------------------------------------------

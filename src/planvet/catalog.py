@@ -9,9 +9,9 @@ other module can trust: all structural defects raise, nothing is repaired.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CatalogError,
@@ -57,32 +57,32 @@ class ActionEntry:
 class ActionCatalog:
     entries: tuple[ActionEntry, ...]
     source_sha256: str = ""
+    _by_id: Mapping[str, ActionEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        by_id: dict[str, ActionEntry] = {}
         for entry in self.entries:
             if not _ACTION_ID_RE.match(entry.action_id):
                 raise CatalogError(
                     f"action id {entry.action_id!r} is not a lowercase snake-case token"
                 )
-            if entry.action_id in seen:
+            if entry.action_id in by_id:
                 raise CatalogError(f"duplicate action id {entry.action_id!r}")
-            seen.add(entry.action_id)
+            by_id[entry.action_id] = entry
+        object.__setattr__(self, "_by_id", by_id)
 
     def action_ids(self) -> tuple[str, ...]:
         return tuple(e.action_id for e in self.entries)
 
-    def __contains__(self, action_id: str) -> bool:
-        return any(e.action_id == action_id for e in self.entries)
+    def __contains__(self, action_id: object) -> bool:
+        # Non-strings (even unhashable ones from a malformed document) are never members.
+        return isinstance(action_id, str) and action_id in self._by_id
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def get(self, action_id: str) -> ActionEntry:
-        for entry in self.entries:
-            if entry.action_id == action_id:
-                return entry
-        raise KeyError(action_id)
+        return self._by_id[action_id]
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,19 @@ class ValidatedPolicy:
     rules: tuple[PolicyRule, ...]
     prerequisite_edges: tuple[tuple[str, str], ...]  # (prerequisite, target)
     source_sha256: str = ""
+    _by_family: Mapping[str, tuple[PolicyRule, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_family: dict[str, list[PolicyRule]] = {}
+        for rule in self.rules:
+            by_family.setdefault(rule.family, []).append(rule)
+        object.__setattr__(
+            self, "_by_family", {family: tuple(rules) for family, rules in by_family.items()}
+        )
 
     def rules_in_family(self, family: str) -> tuple[PolicyRule, ...]:
-        return tuple(r for r in self.rules if r.family == family)
+        """Rules of one family, in declaration order."""
+        return self._by_family.get(family, ())
 
     def to_json_obj(self) -> dict:
         return {

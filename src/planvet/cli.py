@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import activation_check, build_manifest, release_gate
+from .audit import activation_check, build_manifest, load_gate_inputs, release_gate
 from .catalog import load_catalog, load_policy
 from .corpus import baseline_plan, load_corpus
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
-from .errors import PlanvetError, ReleaseGateFailed
+from .errors import PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
 from .metrics import holm_adjust, paired_contrast
 from .pipeline import RunConfig, evaluate
@@ -155,11 +155,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     catalog = load_catalog(_existing(args.catalog, "CatalogNotFound"))
     mapping_rules, _sha = load_mapping_rules(_existing(args.mapping_rules, "MappingRulesNotFound"))
-    patterns = read_json(args.privacy_patterns) if args.privacy_patterns else None
-    terms: tuple[str, ...] = ()
-    if args.forbidden_terms:
-        text = Path(args.forbidden_terms).read_text(encoding="utf-8")
-        terms = tuple(line.strip() for line in text.splitlines() if line.strip())
+    patterns, terms = load_gate_inputs(args.privacy_patterns, args.forbidden_terms)
     report = release_gate(
         _existing(args.corpus_dir, "CorpusNotFound"),
         catalog,
@@ -400,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except NamedCliError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ReleaseGateFailed as exc:
-        print(f"ReleaseGateFailed: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except PlanvetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,21 +1,26 @@
 """Canonical incident packages: the public, auditable evidence surface.
 
-One JSON file per incident, filename ``<incident_id>.json``. Packages are
-immutable after load; loading is order-deterministic (lexicographic
-incident id) and records per-file SHA-256 digests for manifests.
+One JSON file per incident, filename ``<incident_id>.json``. Each file is
+read once: its SHA-256 is taken from the bytes that are parsed, and the
+document is checked against ``schema/incident_package.json`` by a stdlib
+validator compiled from that schema. Packages are immutable after load;
+loading is order-deterministic (lexicographic incident id) and records the
+per-file digests for manifests.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .catalog import ActionCatalog
-from .errors import DuplicateIncidentId, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .plans import ARM_NONE, SOURCE_BASELINE, ProposedPlan
-from .util import sha256_file
+from .util import sha256_bytes
 
 # Approval evidence derived from the task-to-action contract rather than
 # from recorded approval logs. The verifier accepts it; the release gate
@@ -71,6 +76,13 @@ class Corpus:
 
     packages: tuple[IncidentPackage, ...]
     digests: Mapping[str, str] = field(default_factory=dict)  # filename -> sha256
+    _by_id: Mapping[str, IncidentPackage] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id: dict[str, IncidentPackage] = {}
+        for pkg in self.packages:
+            by_id.setdefault(pkg.incident_id, pkg)  # a repeated id resolves to its first package
+        object.__setattr__(self, "_by_id", by_id)
 
     def __iter__(self) -> Iterator[IncidentPackage]:
         return iter(self.packages)
@@ -79,82 +91,263 @@ class Corpus:
         return len(self.packages)
 
     def get(self, incident_id: str) -> IncidentPackage:
-        for pkg in self.packages:
-            if pkg.incident_id == incident_id:
-                return pkg
-        raise KeyError(incident_id)
+        return self._by_id[incident_id]
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# Package schema
 # ---------------------------------------------------------------------------
 
-def load_corpus(directory: Path | str, catalog: ActionCatalog) -> Corpus:
+# The draft-07 keywords the validator implements, per declared type. Every
+# schema node must declare one of these types; any other keyword is refused
+# when the schema is compiled, so the published contract cannot say more
+# than the validator checks.
+_KEYWORDS = {
+    "object": {"required", "properties", "additionalProperties"},
+    "array": {"items"},
+    "string": {"minLength", "const"},
+    "integer": {"minimum"},
+}
+_ANNOTATIONS = {"type", "$schema", "title", "description"}
+
+_JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string", bool: "boolean",
+                    int: "integer", float: "number", type(None): "null"}
+
+
+class _Defect(Exception):
+    """First schema defect; ``path`` grows from the leaf up while unwinding."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+        self.path: list[str | int] = []
+
+
+def _expected(kind: str, value: object) -> _Defect:
+    return _Defect(f"expected {kind}, got {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}")
+
+
+def _compile(node: object) -> Callable[[object], None]:
+    """Turn one schema node into a check that raises ``_Defect`` at the first failure.
+
+    A node's own defects are found before its children's; children are
+    checked in document order.
+    """
+    kind = node.get("type") if isinstance(node, dict) else None
+    if kind not in _KEYWORDS:
+        raise ValueError(f"package schema: unsupported node {node!r}")
+    unsupported = node.keys() - _KEYWORDS[kind] - _ANNOTATIONS
+    if unsupported:
+        raise ValueError(f"package schema: unsupported keywords {sorted(unsupported)}")
+    check = _COMPILERS[kind](node)
+    note = node.get("description")
+    if note is None:
+        return check
+
+    def described(value: object) -> None:
+        try:
+            check(value)
+        except _Defect as defect:
+            if not defect.path:  # the node's own defect, not a child's
+                defect.message += f" ({note})"
+            raise
+
+    return described
+
+
+def _compile_object(node: dict) -> Callable[[object], None]:
+    required = tuple(node.get("required", ()))
+    required_set = frozenset(required)
+    properties = {key: _compile(sub) for key, sub in node.get("properties", {}).items()}
+    additional = node.get("additionalProperties", True)
+    closed = additional is False
+    allowed = frozenset(properties)
+    check_additional = None if isinstance(additional, bool) else _compile(additional)
+
+    def check(value: object) -> None:
+        if not isinstance(value, dict):
+            raise _expected("an object", value)
+        keys = value.keys()
+        if not keys >= required_set:
+            missing = next(key for key in required if key not in value)
+            raise _Defect(f"missing required field {missing!r}")
+        if closed and not keys <= allowed:
+            raise _Defect(f"unexpected field {min(keys - allowed)!r}")
+        for key, item in value.items():
+            sub = properties.get(key, check_additional)
+            if sub is not None:
+                try:
+                    sub(item)
+                except _Defect as defect:
+                    defect.path.append(key)
+                    raise
+
+    return check
+
+
+def _compile_array(node: dict) -> Callable[[object], None]:
+    check_item = _compile(node["items"]) if "items" in node else None
+
+    def check(value: object) -> None:
+        if not isinstance(value, list):
+            raise _expected("an array", value)
+        if check_item is not None:
+            for index, item in enumerate(value):
+                try:
+                    check_item(item)
+                except _Defect as defect:
+                    defect.path.append(index)
+                    raise
+
+    return check
+
+
+def _compile_string(node: dict) -> Callable[[object], None]:
+    min_length = node.get("minLength", 0)
+    const = node.get("const")
+    if const is not None and not isinstance(const, str):
+        raise ValueError(f"package schema: non-string const {const!r}")
+
+    def check(value: object) -> None:
+        if not isinstance(value, str):
+            raise _expected("a string", value)
+        if len(value) < min_length:
+            raise _Defect(f"must have at least {min_length} character(s)")
+        if const is not None and value != const:
+            raise _Defect(f"must be {const!r}, got {value!r}")
+
+    return check
+
+
+def _compile_integer(node: dict) -> Callable[[object], None]:
+    minimum = node.get("minimum")
+
+    def check(value: object) -> None:
+        # Draft 7 counts integral floats such as 1.0 as integers; booleans never.
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        ):
+            raise _expected("an integer", value)
+        if minimum is not None and value < minimum:
+            raise _Defect(f"must be >= {minimum}, got {value!r}")
+
+    return check
+
+
+_COMPILERS = {
+    "object": _compile_object,
+    "array": _compile_array,
+    "string": _compile_string,
+    "integer": _compile_integer,
+}
+
+
+def load_package_schema() -> dict:
+    """The published package contract, ``schema/incident_package.json``."""
+    text = resources.files("planvet").joinpath("schema/incident_package.json").read_text(
+        encoding="utf-8"
+    )
+    return json.loads(text)
+
+
+@cache
+def _package_check() -> Callable[[object], None]:
+    return _compile(load_package_schema())
+
+
+def schema_defect(document: object) -> str | None:
+    """First violation of the package schema as ``"<location>: <message>"``, else None.
+
+    The location joins the JSON path with ``/`` (``<root>`` for the top).
+    """
+    try:
+        _package_check()(document)
+    except _Defect as defect:
+        location = "/".join(str(part) for part in reversed(defect.path)) or "<root>"
+        return f"{location}: {defect.message}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reading and loading
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PackageFile:
+    """One corpus file, read once: its digest, parsed document and first defect."""
+
+    name: str
+    sha256: str  # of the bytes that were parsed
+    document: object = None  # parsed JSON; None when the bytes did not parse
+    defect: ParseError | SchemaError | None = None  # message starts with the file name
+
+
+def read_packages(directory: Path | str) -> Iterator[PackageFile]:
+    """Read every ``*.json`` file once, in filename order, and check it against the schema.
+
+    Yields one file at a time so callers can drop each document before the
+    next is parsed.
+    """
+    for path in sorted(Path(directory).glob("*.json"), key=lambda p: p.name):
+        data = path.read_bytes()
+        digest = sha256_bytes(data)
+        try:
+            document = json.loads(data.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, not JSON, or an oversized number
+            yield PackageFile(path.name, digest, defect=ParseError(f"{path.name}: invalid JSON: {exc}"))
+            continue
+        found = schema_defect(document)
+        defect = SchemaError(f"{path.name}: {found}") if found else None
+        yield PackageFile(path.name, digest, document, defect)
+
+
+def load_corpus(
+    directory: Path | str,
+    catalog: ActionCatalog,
+    *,
+    visit: Callable[[PackageFile], None] | None = None,
+) -> Corpus:
     """Load every package in lexicographic incident-id order.
 
     All invariants are checked here so downstream code never revalidates:
-    phase gate, catalog resolution of baseline actions and approvals,
-    approval-gate consistency, task ordering. Raises ``ParseError``,
-    ``SchemaError`` or ``DuplicateIncidentId``.
+    the package schema (phase gate included), filename equals incident id,
+    catalog resolution of baseline actions and approvals, approval-gate
+    consistency, task ordering. ``visit`` sees every file as it is read,
+    which lets the release gate share this single pass. Every file is read
+    even after a defect, so ``visit`` always sees the whole corpus; the
+    first defect in filename order is then raised as ``ParseError`` or
+    ``SchemaError``.
     """
-    directory = Path(directory)
     packages: list[IncidentPackage] = []
     digests: dict[str, str] = {}
-    seen_ids: set[str] = set()
-    for path in sorted(directory.glob("*.json")):
-        digests[path.name] = sha256_file(path)
-        pkg = _parse_package(path, catalog)
-        if pkg.incident_id in seen_ids:
-            raise DuplicateIncidentId(f"{path.name}: incident id {pkg.incident_id!r} repeats")
-        seen_ids.add(pkg.incident_id)
-        packages.append(pkg)
+    first_defect: ParseError | SchemaError | None = None
+    for package_file in read_packages(directory):
+        if visit is not None:
+            visit(package_file)
+        digests[package_file.name] = package_file.sha256
+        if first_defect is None:
+            try:
+                packages.append(_build_package(package_file, catalog))
+            except (ParseError, SchemaError) as exc:
+                first_defect = exc
+    if first_defect is not None:
+        raise first_defect
     packages.sort(key=lambda p: p.incident_id)
     return Corpus(packages=tuple(packages), digests=digests)
 
 
-def _parse_package(path: Path, catalog: ActionCatalog) -> IncidentPackage:
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path.name}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path.name}: package must be a JSON object")
-
-    def need(key: str, kind: type) -> object:
-        if key not in obj:
-            raise ParseError(f"{path.name}: missing field {key!r}")
-        value = obj[key]
-        if not isinstance(value, kind):
-            raise ParseError(f"{path.name}: field {key!r} has wrong type")
-        return value
-
-    incident_id = need("incident_id", str)
-    if path.stem != incident_id:
+def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> IncidentPackage:
+    """Apply the semantic checks to a schema-valid document and build the package."""
+    if package_file.defect is not None:
+        raise package_file.defect
+    obj = package_file.document
+    incident_id = obj["incident_id"]
+    if package_file.name.removesuffix(".json") != incident_id:
         raise SchemaError(
-            f"{path.name}: filename must be <incident_id>.json (id is {incident_id!r})"
+            f"{package_file.name}: filename must be <incident_id>.json (id is {incident_id!r})"
         )
 
-    phase_id = need("phase_id", str)
-    if phase_id != COMPLETE_PHASE:
-        raise SchemaError(
-            f"{incident_id}: phase gate requires phase_id {COMPLETE_PHASE!r}, got {phase_id!r}"
-        )
-
-    telemetry = []
-    for idx, ev in enumerate(need("telemetry", list)):
-        event_type = ev.get("event_type", "")
-        if not event_type:
-            raise SchemaError(f"{incident_id}: telemetry[{idx}] has empty event_type")
-        telemetry.append(
-            TelemetryEvent(
-                event_type=event_type,
-                command=ev.get("command", "") or "",
-                indicators=tuple(ev.get("indicators", ())),
-                labels=tuple(ev.get("labels", ())),
-            )
-        )
-
-    mapped = tuple(need("mapped_human_actions", list))
+    mapped = tuple(obj["mapped_human_actions"])
     for action in mapped:
         if action not in catalog:
             raise SchemaError(
@@ -162,8 +355,8 @@ def _parse_package(path: Path, catalog: ActionCatalog) -> IncidentPackage:
             )
 
     approvals = []
-    for ev in need("approvals", list):
-        action = ev.get("action_id", "")
+    for ev in obj["approvals"]:
+        action = ev["action_id"]
         if action not in catalog:
             raise SchemaError(
                 f"{incident_id}: approval evidence names unknown action {action!r}"
@@ -173,39 +366,35 @@ def _parse_package(path: Path, catalog: ActionCatalog) -> IncidentPackage:
                 f"{incident_id}: approval evidence for {action!r} but the action "
                 "is not approval-gated"
             )
-        approvals.append(
-            ApprovalEvidence(
-                action_id=action,
-                source=ev.get("source", ""),
-                note=ev.get("note", ""),
-            )
-        )
+        approvals.append(ApprovalEvidence(action, ev["source"], ev.get("note", "")))
 
     tasks = []
     last_order = -1
     for task in obj.get("extracted_tasks", ()):
-        order_index = task.get("order_index", 0)
+        order_index = task["order_index"]
         if order_index <= last_order:
             raise SchemaError(
                 f"{incident_id}: extracted task order_index must be strictly increasing"
             )
         last_order = order_index
-        tasks.append(
-            TaskRecord(
-                task_id=task.get("task_id", ""),
-                text=task.get("text", ""),
-                order_index=order_index,
-            )
-        )
+        tasks.append(TaskRecord(task["task_id"], task["text"], order_index))
 
     return IncidentPackage(
         incident_id=incident_id,
-        category=need("category", str),
-        severity=need("severity", str),
-        asset_criticality=need("asset_criticality", str),
-        phase_id=phase_id,
-        telemetry=tuple(telemetry),
-        case_metadata=dict(need("case_metadata", dict)),
+        category=obj["category"],
+        severity=obj["severity"],
+        asset_criticality=obj["asset_criticality"],
+        phase_id=obj["phase_id"],
+        telemetry=tuple(
+            TelemetryEvent(
+                event_type=ev["event_type"],
+                command=ev.get("command", ""),
+                indicators=tuple(ev.get("indicators", ())),
+                labels=tuple(ev.get("labels", ())),
+            )
+            for ev in obj["telemetry"]
+        ),
+        case_metadata=dict(obj["case_metadata"]),
         mapped_human_actions=mapped,
         approvals=tuple(approvals),
         extracted_tasks=tuple(tasks),

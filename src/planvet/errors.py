@@ -59,10 +59,6 @@ class SchemaError(PlanvetError):
     pass
 
 
-class DuplicateIncidentId(PlanvetError):
-    pass
-
-
 # -- proposal parsing --------------------------------------------------------
 
 class MissingField(PlanvetError):

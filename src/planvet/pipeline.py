@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .audit import build_manifest, release_gate
+from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
 from .corpus import Corpus, baseline_plan, load_corpus
 from .engine import MODE_REMOVE, enforce
-from .errors import EmptyEvaluation, ReleaseGateFailed
+from .errors import EmptyEvaluation, ParseError, ReleaseGateFailed, SchemaError
 from .metrics import (
     CellSummary,
     ContrastResult,
@@ -118,29 +118,28 @@ class EvaluationResult:
 # Gate + input loading
 # ---------------------------------------------------------------------------
 
-def _load_gate_inputs(config: RunConfig):
-    patterns = None
-    if config.privacy_patterns_path:
-        patterns = read_json(config.privacy_patterns_path)
-    terms: tuple[str, ...] = ()
-    if config.forbidden_terms_path:
-        text = Path(config.forbidden_terms_path).read_text(encoding="utf-8")
-        terms = tuple(line.strip() for line in text.splitlines() if line.strip())
-    return patterns, terms
+def load_gated_corpus(config: RunConfig, catalog: ActionCatalog, mapping_rules) -> Corpus:
+    """Load the corpus in one pass that also feeds the release gate.
 
-
-def run_gates(config: RunConfig, catalog: ActionCatalog, mapping_rules) -> None:
+    Each package file is read, hashed and validated once; the gate and the
+    loader both take it from there. A failed gate outranks a loader defect,
+    as it did when the gate ran over the corpus before the loader.
+    """
     if config.skip_gates:
         log.warning("release gates skipped by configuration; corpus is ungated")
-        return
-    patterns, terms = _load_gate_inputs(config)
-    report = release_gate(
-        config.corpus_dir,
-        catalog,
-        mapping_rules,
-        forbidden_terms=terms,
-        patterns=patterns,
-    )
+        return load_corpus(config.corpus_dir, catalog)
+    patterns, terms = load_gate_inputs(config.privacy_patterns_path, config.forbidden_terms_path)
+    gate = ReleaseGate(catalog, mapping_rules, forbidden_terms=terms, patterns=patterns)
+    try:
+        corpus = load_corpus(config.corpus_dir, catalog, visit=gate.add)
+    except (ParseError, SchemaError):
+        _require_pass(gate.report())
+        raise
+    _require_pass(gate.report())
+    return corpus
+
+
+def _require_pass(report: GateReport) -> None:
     if not report.overall_pass:
         raise ReleaseGateFailed(
             "release gate failed: "
@@ -162,9 +161,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     policy = validate_policy(catalog, rules, source_sha256=policy_sha)
     mapping_rules, _mapping_sha = load_mapping_rules(config.mapping_rules_path)
 
-    run_gates(config, catalog, mapping_rules)
-
-    corpus = load_corpus(config.corpus_dir, catalog)
+    corpus = load_gated_corpus(config, catalog, mapping_rules)
     proposals = load_proposals(config.proposals_dir, catalog)
     if not proposals:
         raise EmptyEvaluation(f"no proposal documents under {config.proposals_dir}")

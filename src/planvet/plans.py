@@ -70,7 +70,6 @@ def parse_proposal(
     if not isinstance(raw_actions, list):
         raise WrongType(f"proposal for {incident_id}: {CONTRACT_FIELD!r} must be an array")
 
-    known = set(catalog.action_ids())
     actions: list[str] = []
     rejected: list[str] = []
     for idx, token in enumerate(raw_actions):
@@ -78,7 +77,7 @@ def parse_proposal(
             raise WrongType(
                 f"proposal for {incident_id}: {CONTRACT_FIELD}[{idx}] is not a string"
             )
-        if token in known:  # byte equality only
+        if token in catalog:  # byte equality only
             actions.append(token)
         else:
             rejected.append(token)

@@ -30,13 +30,22 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+_FOUR_PLACES = Decimal("0.0001")
+
+
 def round4(value: float) -> float:
     """Presentation rounding: 4 decimal places, half-up.
 
     Applied only at serialization boundaries; internal arithmetic stays
     full precision. ``round()`` is unsuitable here (banker's rounding).
     """
-    return float(Decimal(repr(float(value))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    text = repr(float(value))
+    _, dot, fraction = text.partition(".")
+    # The shortest repr already has at most 4 decimals and no exponent:
+    # quantizing cannot change it, so skip the Decimal round trip.
+    if dot and len(fraction) <= 4 and "e" not in fraction:
+        return float(text)
+    return float(Decimal(text).quantize(_FOUR_PLACES, rounding=ROUND_HALF_UP))
 
 
 def present(obj: Any) -> Any:

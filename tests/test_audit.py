@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,8 @@ from planvet.audit import (
     privacy_scan,
     release_gate,
 )
-from planvet.errors import IoError
+from planvet.errors import IoError, ReleaseGateFailed, SchemaError
+from planvet.pipeline import RunConfig, load_gated_corpus
 from planvet.util import read_json
 
 
@@ -102,10 +104,81 @@ class TestReleaseGate:
         assert report.parseability_pass is False
         assert "inc_0001.json" in report.parse_failures[0]
 
+    def test_schema_failure_names_file_and_location(self, tmp_path, catalog, mapping_rules):
+        from planvet.fixtures import incident_obj
+
+        obj = incident_obj(1)
+        obj["telemetry"][0]["event_type"] = 7
+        (tmp_path / "inc_0001.json").write_text(json.dumps(obj))
+        report = release_gate(tmp_path, catalog, mapping_rules)
+        assert report.parse_failures == [
+            "inc_0001.json: telemetry/0/event_type: expected a string, got integer"
+        ]
+
+    def test_undecodable_file_is_a_parse_failure(self, tmp_path, catalog, mapping_rules):
+        (tmp_path / "inc_0001.json").write_bytes(b"\xff\xfe{}")
+        report = release_gate(tmp_path, catalog, mapping_rules)
+        assert report.parseability_pass is False
+        assert report.parse_failures[0].startswith("inc_0001.json: invalid JSON: ")
+
     def test_gate_is_stable_under_rerun(self, bundle, catalog, mapping_rules):
         first = release_gate(bundle / "corpus", catalog, mapping_rules)
         second = release_gate(bundle / "corpus", catalog, mapping_rules)
         assert first.to_json_obj() == second.to_json_obj()
+
+
+class TestGatedLoad:
+    """``evaluate``'s single pass: one read per file feeds the gate and the loader."""
+
+    @staticmethod
+    def _config(bundle, corpus_dir, **overrides):
+        return RunConfig.from_json(bundle / "config.json", corpus_dir=str(corpus_dir), **overrides)
+
+    @staticmethod
+    def _corpus(directory, *objs):
+        directory.mkdir()
+        for obj in objs:
+            (directory / f"{obj['incident_id']}.json").write_text(json.dumps(obj))
+        return directory
+
+    def test_each_corpus_file_is_opened_once(self, bundle, catalog, mapping_rules, monkeypatch):
+        import builtins
+        import io
+
+        corpus_dir = bundle / "corpus"
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(str(file)).parent == corpus_dir:
+                opened.append(Path(str(file)).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        corpus = load_gated_corpus(self._config(bundle, corpus_dir), catalog, mapping_rules)
+        assert len(corpus) == 200
+        assert sorted(opened) == sorted(p.name for p in corpus_dir.glob("*.json"))
+
+    def test_gate_failure_outranks_loader_defect(self, bundle, tmp_path, catalog, mapping_rules):
+        from planvet.fixtures import incident_obj
+
+        broken = incident_obj(2)
+        broken["phase_id"] = "Open"
+        corpus_dir = self._corpus(tmp_path / "c", incident_obj(1), broken)
+        with pytest.raises(ReleaseGateFailed, match="parseability=False"):
+            load_gated_corpus(self._config(bundle, corpus_dir), catalog, mapping_rules)
+        with pytest.raises(SchemaError, match="phase gate"):
+            load_gated_corpus(self._config(bundle, corpus_dir, skip_gates=True), catalog, mapping_rules)
+
+    def test_loader_defect_raised_when_gate_passes(self, bundle, tmp_path, catalog, mapping_rules):
+        from planvet.fixtures import incident_obj
+
+        corpus_dir = self._corpus(tmp_path / "c", incident_obj(1))
+        (corpus_dir / "inc_0001.json").rename(corpus_dir / "renamed.json")
+        assert release_gate(corpus_dir, catalog, mapping_rules).overall_pass
+        with pytest.raises(SchemaError, match="filename"):
+            load_gated_corpus(self._config(bundle, corpus_dir), catalog, mapping_rules)
 
 
 class TestBuildManifest:

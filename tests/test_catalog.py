@@ -154,6 +154,37 @@ class TestValidatePolicy:
 
 # ---------------------------------------------------------------------------
 
+class TestLookups:
+    def test_catalog_membership_and_get(self):
+        catalog = _catalog("isolate_host", "open_ticket")
+        assert "open_ticket" in catalog and "close_ticket" not in catalog
+        assert catalog.get("isolate_host").action_id == "isolate_host"
+        with pytest.raises(KeyError):
+            catalog.get("close_ticket")
+
+    def test_non_string_is_never_a_member(self):
+        catalog = _catalog("isolate_host")
+        assert ["isolate_host"] not in catalog
+        assert None not in catalog
+
+    def test_non_string_rule_target_is_an_unknown_reference(self):
+        rule = PolicyRule("R1", "require_approval", ["isolate_host"], "hard", "remove")
+        with pytest.raises(UnknownActionReference):
+            validate_policy(_catalog("isolate_host"), [rule])
+
+    def test_rules_in_family_keep_declaration_order(self):
+        catalog = _catalog("a", "b", "c")
+        rules = [
+            _order_rule("R9", "a", "b"),
+            PolicyRule("R1", "require_approval", "c", "hard", "remove"),
+            _order_rule("R2", "a", "c"),
+        ]
+        policy = validate_policy(catalog, rules)
+        assert [r.rule_id for r in policy.rules_in_family("prohibit_before")] == ["R9", "R2"]
+        assert [r.rule_id for r in policy.rules_in_family("require_approval")] == ["R1"]
+        assert policy.rules_in_family("mandatory") == ()
+
+
 class TestScopeMatches:
     def _reverse_shell_rule(self, policy):
         return next(r for r in policy.rules if r.rule_id == "R1")

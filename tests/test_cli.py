@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planvet
 from planvet.cli import main
 
 
@@ -55,6 +60,36 @@ class TestVerify:
         args[args.index("--incident-id") + 1] = "inc_9999"
         assert main(args) == 1
         assert "IncidentNotFound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "defect, error",
+        [
+            pytest.param(
+                lambda o: o["telemetry"].append("process_start"),
+                "telemetry/2: expected an object",
+                id="non-object telemetry entry",
+            ),
+            pytest.param(
+                lambda o: o["extracted_tasks"][0].update(order_index="0"),
+                "order_index: expected an integer",
+                id="string order_index",
+            ),
+        ],
+    )
+    def test_malformed_package_exits_1_named(self, bundle, proposal_file, tmp_path, capsys, defect, error):
+        from planvet.fixtures import incident_obj
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        obj = incident_obj(7)
+        defect(obj)
+        (corpus / "inc_0007.json").write_text(json.dumps(obj))
+        args = _verify_args(bundle, proposal_file)
+        args[args.index("--corpus-dir") + 1] = str(corpus)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SchemaError: inc_0007.json: ")
+        assert error in err
 
     def test_result_document_written(self, bundle, proposal_file, tmp_path):
         out = tmp_path / "result.json"
@@ -153,3 +188,10 @@ class TestContrastAndReport:
         assert "<0.0001" in text
         assert "## Approval deferral sensitivity" in text
         assert "| human baseline | 200 | 0.0000 |" in text
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, planvet.cli; print('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(planvet.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -96,3 +96,71 @@ class TestBaselinePlan:
         pkg = corpus.get("inc_0001")
         assert "isolate_host" in pkg.mapped_human_actions
         assert pkg.approved_actions() == {"isolate_host"}
+
+
+def _write_corpus(directory, *objs):
+    directory.mkdir(exist_ok=True)
+    for obj in objs:
+        (directory / f"{obj['incident_id']}.json").write_text(json.dumps(obj))
+    return directory
+
+
+class TestLoaderDefects:
+    def test_non_object_telemetry_entry_is_a_schema_error(self, tmp_path, catalog):
+        obj = incident_obj(1)
+        obj["telemetry"].append("process_start")
+        with pytest.raises(SchemaError, match="telemetry/2: expected an object"):
+            load_corpus(_write_corpus(tmp_path / "c", obj), catalog)
+
+    def test_string_order_index_is_a_schema_error(self, tmp_path, catalog):
+        obj = incident_obj(1)
+        obj["extracted_tasks"][0]["order_index"] = "0"
+        with pytest.raises(SchemaError, match="order_index: expected an integer"):
+            load_corpus(_write_corpus(tmp_path / "c", obj), catalog)
+
+    def test_decreasing_order_index_rejected(self, tmp_path, catalog):
+        obj = incident_obj(1)
+        obj["extracted_tasks"][1]["order_index"] = 0
+        with pytest.raises(SchemaError, match="strictly increasing"):
+            load_corpus(_write_corpus(tmp_path / "c", obj), catalog)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, catalog):
+        (tmp_path / "inc_0001.json").write_bytes(b'{"incident_id": "\xff"}')
+        with pytest.raises(ParseError, match="inc_0001.json"):
+            load_corpus(tmp_path, catalog)
+
+    def test_first_defect_in_filename_order_wins(self, tmp_path, catalog):
+        bad_id = incident_obj(1)
+        bad_id["mapped_human_actions"].append("made_up_action")
+        bad_schema = incident_obj(2)
+        del bad_schema["severity"]
+        _write_corpus(tmp_path / "c", bad_id, bad_schema)
+        with pytest.raises(SchemaError, match="inc_0001: mapped action"):
+            load_corpus(tmp_path / "c", catalog)
+
+    def test_visit_sees_every_file_even_after_a_defect(self, tmp_path, catalog):
+        first = incident_obj(1)
+        del first["severity"]
+        _write_corpus(tmp_path / "c", first, incident_obj(2), incident_obj(3))
+        seen = []
+        with pytest.raises(SchemaError, match="missing required field 'severity'"):
+            load_corpus(tmp_path / "c", catalog, visit=lambda f: seen.append(f.name))
+        assert seen == ["inc_0001.json", "inc_0002.json", "inc_0003.json"]
+
+    def test_digests_are_taken_from_the_parsed_bytes(self, bundle, corpus):
+        from planvet.util import sha256_file
+
+        assert corpus.digests == {
+            name: sha256_file(bundle / "corpus" / name) for name in corpus.digests
+        }
+
+
+class TestCorpusIndex:
+    def test_repeated_id_resolves_to_first_package(self, corpus):
+        from dataclasses import replace
+
+        from planvet.corpus import Corpus
+
+        first = corpus.get("inc_0001")
+        second = replace(first, severity="critical")
+        assert Corpus(packages=(first, second)).get("inc_0001") is first
