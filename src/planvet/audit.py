@@ -20,7 +20,7 @@ from .engine import MODE_DEFER, MODE_REMOVE, enforce, order_chain_depth
 from .errors import IoError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
-from .util import canonical_json, read_json, sha256_file, sha256_text
+from .util import canonical_json, read_json, record_json, sha256_file, sha256_text
 
 # Declared baseline pattern set, versioned and hash-tracked. Hostname and
 # user-id shapes are necessarily heuristic; the pattern file is an input,
@@ -44,14 +44,6 @@ class PrivacyFinding:
     excerpt: str  # masked so findings never re-leak
     position: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "document_ref": self.document_ref,
-            "kind": self.kind,
-            "excerpt": self.excerpt,
-            "position": self.position,
-        }
-
 
 @dataclass
 class GateReport:
@@ -70,18 +62,7 @@ class GateReport:
         return self.privacy_pass and self.parseability_pass and self.mapping_pass
 
     def to_json_obj(self) -> dict:
-        return {
-            "privacy_pass": self.privacy_pass,
-            "privacy_finding_count": self.privacy_finding_count,
-            "parseability_pass": self.parseability_pass,
-            "parse_failures": list(self.parse_failures),
-            "mapping_pass": self.mapping_pass,
-            "unmatched_tasks": self.unmatched_tasks,
-            "ambiguous_tasks": self.ambiguous_tasks,
-            "approval_gaps": list(self.approval_gaps),
-            "empty_corpus": self.empty_corpus,
-            "overall_pass": self.overall_pass,
-        }
+        return {**record_json(self), "overall_pass": self.overall_pass}
 
 
 @dataclass
@@ -93,15 +74,7 @@ class ActivationReport:
     max_chain_depth: int
     plans_checked: int = 0
 
-    def to_json_obj(self) -> dict:
-        return {
-            "candidate_actions": self.candidate_actions,
-            "candidate_rules": self.candidate_rules,
-            "activated_rules": list(self.activated_rules),
-            "repair_mode_coverage": list(self.repair_mode_coverage),
-            "max_chain_depth": self.max_chain_depth,
-            "plans_checked": self.plans_checked,
-        }
+    to_json_obj = record_json
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +278,10 @@ def activation_check(
     activated: set[str] = set()
     operators: set[str] = set()
     max_depth = 0
-    by_id = {pkg.incident_id: pkg for pkg in corpus}
     repair_to_operator = {"insert": "insert", "insert_before": "insert_before",
                           "remove": "remove", "defer": "defer_to_human_approval"}
     for plan in plans:
-        incident = by_id[plan.incident_id]
+        incident = corpus.get(plan.incident_id)
         for mode in (MODE_REMOVE, MODE_DEFER):
             result = enforce(plan, policy, incident, mode)
             for violation in result.violations:

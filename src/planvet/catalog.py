@@ -22,7 +22,7 @@ from .errors import (
     SelfDependency,
     UnknownActionReference,
 )
-from .util import canonical_json, sha256_file
+from .util import canonical_json, read_json_document
 
 # Rule families
 MANDATORY = "mandatory"
@@ -134,32 +134,13 @@ class ValidatedPolicy:
 
     def to_json_obj(self) -> dict:
         return {
-            "catalog": [vars(e) for e in self.catalog.entries],
-            "rules": [_rule_to_obj(r) for r in self.rules],
-            "prerequisite_edges": [list(e) for e in self.prerequisite_edges],
+            "catalog": self.catalog.entries,
+            "rules": self.rules,
+            "prerequisite_edges": self.prerequisite_edges,
         }
 
     def canonical(self) -> str:
         return canonical_json(self.to_json_obj())
-
-
-def _rule_to_obj(rule: PolicyRule) -> dict:
-    obj = {
-        "rule_id": rule.rule_id,
-        "family": rule.family,
-        "target_action": rule.target_action,
-        "severity": rule.severity,
-        "repair_operator": rule.repair_operator,
-        "rationale": rule.rationale,
-        "prerequisite_action": rule.prerequisite_action,
-        "scope": None,
-    }
-    if rule.scope is not None:
-        obj["scope"] = {
-            "event_type_contains": rule.scope.event_type_contains,
-            "command_contains": list(rule.scope.command_contains),
-        }
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +300,8 @@ def scope_matches(rule: PolicyRule, telemetry: Iterable) -> bool:
 
 def load_catalog(path: Path | str) -> ActionCatalog:
     """Read ``catalog.json`` (array of action entries); records the file digest."""
-    import json
-
     path = Path(path)
-    digest = sha256_file(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path.name}: not valid JSON: {exc}") from exc
+    raw, digest = read_json_document(path, CatalogError)
     if not isinstance(raw, list):
         raise CatalogError(f"{path.name}: expected a JSON array of action entries")
     entries = []
@@ -355,14 +330,8 @@ def _require_bool(obj: dict, key: str, idx: int):
 
 def load_policy_rules(path: Path | str) -> tuple[tuple[PolicyRule, ...], str]:
     """Read ``policy.json``; returns the rules plus the raw document digest."""
-    import json
-
     path = Path(path)
-    digest = sha256_file(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PolicyValidationError(f"{path.name}: not valid JSON: {exc}") from exc
+    raw, digest = read_json_document(path, PolicyValidationError)
     if not isinstance(raw, list):
         raise PolicyValidationError(f"{path.name}: expected a JSON array of rules")
     rules = []

@@ -23,11 +23,10 @@ from .corpus import baseline_plan, load_corpus
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
 from .errors import PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
-from .metrics import holm_adjust, paired_contrast
-from .pipeline import RunConfig, evaluate
+from .pipeline import RunConfig, compute_contrasts, evaluate
 from .plans import load_proposals, parse_proposal
 from .report import write_report
-from .util import read_json, write_json
+from .util import read_json, record_json, write_json
 
 log = logging.getLogger("planvet")
 
@@ -62,14 +61,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     proposal_path = _existing(args.proposal, "ProposalNotFound")
 
     policy = load_policy(catalog_path, policy_path)
-    corpus = load_corpus(corpus_dir, policy.catalog)
-    try:
-        incident = corpus.get(args.incident_id)
-    except KeyError:
-        raise NamedCliError("IncidentNotFound", args.incident_id) from None
-
+    incident = load_corpus(corpus_dir, policy.catalog).get(args.incident_id)
     plan = parse_proposal(
-        proposal_path.read_text(encoding="utf-8"),
+        proposal_path.read_bytes(),
         policy.catalog,
         incident_id=args.incident_id,
         model_id=args.model or "",
@@ -110,30 +104,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "confidence": args.confidence,
         "rerun_label": args.rerun_label,
         "skip_gates": True if args.skip_gates else None,
-        "privacy_patterns_path": getattr(args, "privacy_patterns", None),
-        "forbidden_terms_path": getattr(args, "forbidden_terms", None),
+        "privacy_patterns_path": args.privacy_patterns,
+        "forbidden_terms_path": args.forbidden_terms,
     }
     if args.config:
         return RunConfig.from_json(_existing(args.config, "ConfigNotFound"), **overrides)
-    missing = [k for k in ("corpus_dir", "catalog_path", "policy_path",
-                           "mapping_rules_path", "proposals_dir", "output_dir")
-               if overrides.get(k) is None]
-    if missing:
-        raise NamedCliError("ConfigIncomplete", f"missing {', '.join(missing)} (or pass --config)")
-    return RunConfig(
-        corpus_dir=Path(args.corpus_dir),
-        catalog_path=Path(args.catalog),
-        policy_path=Path(args.policy),
-        mapping_rules_path=Path(args.mapping_rules),
-        proposals_dir=Path(args.proposals_dir),
-        output_dir=Path(args.output_dir),
-        approval_mode=args.approval_mode or MODE_REMOVE,
-        confidence=args.confidence or 0.95,
-        rerun_label=args.rerun_label or "r1",
-        skip_gates=bool(args.skip_gates),
-        privacy_patterns_path=Path(args.privacy_patterns) if args.privacy_patterns else None,
-        forbidden_terms_path=Path(args.forbidden_terms) if args.forbidden_terms else None,
-    )
+    return RunConfig.from_fields(overrides)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -187,9 +163,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         "support": result.support.to_json_obj(),
         "unmatched": list(result.unmatched),
         "ambiguous": [[task, list(candidates)] for task, candidates in result.ambiguous],
-        "catalog_coverage": coverage.catalog_coverage,
-        "weighted_coverage": coverage.weighted_coverage,
-        "single_keyword_fraction": coverage.single_keyword_fraction,
+        **record_json(coverage),
     }
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +178,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_contrast(args: argparse.Namespace) -> int:
     metrics_path = _existing(args.metrics, "MetricsNotFound")
-    family = read_json(_existing(args.family, "FamilyNotFound")) if args.family else None
+    family = [(tuple(a), tuple(b)) for a, b in read_json(_existing(args.family, "FamilyNotFound"))]
     outcomes: dict[tuple[str, str], dict[str, bool]] = {}
     with open(metrics_path, encoding="utf-8") as fh:
         for line in fh:
@@ -212,20 +186,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
             if row["model_id"] == "":  # baselines sit outside the contrast family
                 continue
             outcomes.setdefault((row["model_id"], row["arm"]), {})[row["incident_id"]] = row["violated"]
-    if family is None:
-        raise NamedCliError("FamilyNotFound", "contrast families are declared, never inferred")
-    contrasts = []
-    for pair in family:
-        (model_a, arm_a), (model_b, arm_b) = (tuple(pair[0]), tuple(pair[1]))
-        contrasts.append(
-            paired_contrast(
-                outcomes[(model_a, arm_a)], outcomes[(model_b, arm_b)],
-                (model_a, arm_a), (model_b, arm_b),
-            )
-        )
-    adjusted = holm_adjust([c.mcnemar_p for c in contrasts])
-    for contrast, holm_p in zip(contrasts, adjusted):
-        contrast.holm_p = holm_p
+    contrasts = compute_contrasts(outcomes, family)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_json(output, {"contrasts": [c.to_json_obj() for c in contrasts]})

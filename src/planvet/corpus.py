@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from .catalog import ActionCatalog
-from .errors import ParseError, SchemaError
+from .errors import IncidentNotFound, ParseError, SchemaError
 from .plans import ARM_NONE, SOURCE_BASELINE, ProposedPlan
 from .util import sha256_bytes
 
@@ -91,7 +91,10 @@ class Corpus:
         return len(self.packages)
 
     def get(self, incident_id: str) -> IncidentPackage:
-        return self._by_id[incident_id]
+        try:
+            return self._by_id[incident_id]
+        except KeyError:
+            raise IncidentNotFound(incident_id) from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .catalog import (
 from .corpus import IncidentPackage
 from .errors import InternalBoundExceeded
 from .plans import ProposedPlan
-from .util import canonical_json
+from .util import canonical_json, record_json
 
 # Approval treatment modes (run-level; rule operators are declarative).
 MODE_REMOVE = "remove"
@@ -56,16 +56,7 @@ class ViolationRecord:
     repair: str    # insert | insert_before | remove | defer
     severity: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "family": self.family,
-            "violation_type": self.violation_type,
-            "action_id": self.action_id,
-            "position": self.position,
-            "repair": self.repair,
-            "severity": self.severity,
-        }
+    to_json_obj = record_json
 
 
 @dataclass(frozen=True)
@@ -81,15 +72,7 @@ class EnforcementResult:
         return sum(1 for v in self.violations if v.severity == "hard")
 
     def to_json_obj(self, *, policy_sha256: str = "") -> dict:
-        return {
-            "enforced_actions": list(self.enforced_actions),
-            "violations": [v.to_json_obj() for v in self.violations],
-            "modified": self.modified,
-            "edit_counts": dict(self.edit_counts),
-            "approval_mode": self.approval_mode,
-            "deferred_actions": list(self.deferred_actions),
-            "policy_sha256": policy_sha256,
-        }
+        return {**record_json(self), "policy_sha256": policy_sha256}
 
     def canonical(self) -> str:
         return canonical_json(self.to_json_obj())

@@ -59,6 +59,10 @@ class SchemaError(PlanvetError):
     pass
 
 
+class IncidentNotFound(PlanvetError):
+    """No package in the corpus has the requested incident id."""
+
+
 # -- proposal parsing --------------------------------------------------------
 
 class MissingField(PlanvetError):
@@ -100,6 +104,10 @@ class KeyMismatch(PlanvetError):
 
 
 # -- audit / pipeline --------------------------------------------------------
+
+class ConfigIncomplete(PlanvetError):
+    """A run config leaves a required input or output path unset."""
+
 
 class IoError(PlanvetError):
     """Manifest input file could not be read."""

@@ -9,7 +9,6 @@ assigned. Tasks matching nothing are unmatched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 from .catalog import ActionCatalog
 from .corpus import Corpus, TaskRecord
 from .errors import ParseError, UnknownActionInRule
-from .util import sha256_file
+from .util import read_json_document, record_json
 
 
 @dataclass(frozen=True)
@@ -54,19 +53,11 @@ class MappingSupportManifest:
     total_tasks: int = 0
 
     def to_json_obj(self) -> dict:
-        return {
-            "per_action": {
-                action: {
-                    "cases": s.cases,
-                    "matches": s.matches,
-                    "single_keyword_matches": s.single_keyword_matches,
-                    "single_keyword_unique_fraction": s.single_keyword_unique_fraction,
-                }
-                for action, s in sorted(self.per_action.items())
-            },
-            "mapped_tasks": self.mapped_tasks,
-            "total_tasks": self.total_tasks,
+        per_action = {
+            action: {**record_json(s), "single_keyword_unique_fraction": s.single_keyword_unique_fraction}
+            for action, s in self.per_action.items()
         }
+        return {**record_json(self), "per_action": per_action}
 
 
 @dataclass
@@ -212,11 +203,7 @@ def mapping_coverage(result: MappingResult, catalog: ActionCatalog) -> CoverageS
 def load_mapping_rules(path: Path | str) -> tuple[tuple[MappingRule, ...], str]:
     """Read ``mapping_rules.json``; returns rules plus the raw document digest."""
     path = Path(path)
-    digest = sha256_file(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path.name}: not valid JSON: {exc}") from exc
+    raw, digest = read_json_document(path, ParseError)
     rules = []
     for obj in raw:
         keyword_sets = tuple(tuple(ks) for ks in obj["keyword_sets"])

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .engine import EnforcementResult
 from .errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch
 from .plans import ProposedPlan
+from .util import record_json
 
 
 @dataclass(frozen=True)
@@ -39,26 +40,7 @@ class RunMetrics:
     llm_only_actions: tuple[str, ...]
     baseline_only_actions: tuple[str, ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "incident_id": self.incident_id,
-            "model_id": self.model_id,
-            "arm": self.arm,
-            "violated": self.violated,
-            "hard_count": self.hard_count,
-            "soft_count": self.soft_count,
-            "violations_by_rule": dict(self.violations_by_rule),
-            "edit_counts": dict(self.edit_counts),
-            "modified": self.modified,
-            "coverage": self.coverage,
-            "precision_raw": self.precision_raw,
-            "precision_enforced": self.precision_enforced,
-            "jaccard_raw": self.jaccard_raw,
-            "jaccard_enforced": self.jaccard_enforced,
-            "delta_jaccard": self.delta_jaccard,
-            "llm_only_actions": list(self.llm_only_actions),
-            "baseline_only_actions": list(self.baseline_only_actions),
-        }
+    to_json_obj = record_json
 
 
 @dataclass
@@ -81,26 +63,7 @@ class CellSummary:
     rule_rates: dict[str, float] = field(default_factory=dict)
     rule_counts: dict[str, int] = field(default_factory=dict)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "arm": self.arm,
-            "n_runs": self.n_runs,
-            "violation_rate": self.violation_rate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "hard_per_run": self.hard_per_run,
-            "edit_rate": self.edit_rate,
-            "mean_coverage": self.mean_coverage,
-            "mean_delta_jaccard": self.mean_delta_jaccard,
-            "mean_precision_raw": self.mean_precision_raw,
-            "mean_precision_enforced": self.mean_precision_enforced,
-            "mean_jaccard_raw": self.mean_jaccard_raw,
-            "mean_jaccard_enforced": self.mean_jaccard_enforced,
-            "deferred_total": self.deferred_total,
-            "rule_rates": dict(sorted(self.rule_rates.items())),
-            "rule_counts": dict(sorted(self.rule_counts.items())),
-        }
+    to_json_obj = record_json
 
 
 @dataclass
@@ -117,20 +80,7 @@ class ContrastResult:
     cohens_h: float
     holm_p: float | None = None  # filled by the caller over the declared family
 
-    def to_json_obj(self) -> dict:
-        return {
-            "cell_a": list(self.cell_a),
-            "cell_b": list(self.cell_b),
-            "n_pairs": self.n_pairs,
-            "rate_a": self.rate_a,
-            "rate_b": self.rate_b,
-            "delta_rate": self.delta_rate,
-            "discordant_b": self.discordant_b,
-            "discordant_c": self.discordant_c,
-            "mcnemar_p": self.mcnemar_p,
-            "cohens_h": self.cohens_h,
-            "holm_p": self.holm_p,
-        }
+    to_json_obj = record_json
 
 
 @dataclass
@@ -144,12 +94,8 @@ class StabilityReport:
         return self.quantities[key]
 
     def to_json_obj(self) -> dict:
-        return {
-            "n_reruns": self.n_reruns,
-            "labels": list(self.labels),
-            "quantities": {k: {"min": lo, "max": hi} for k, (lo, hi) in sorted(self.quantities.items())},
-            "coverage_loss_runs": self.coverage_loss_runs,
-        }
+        quantities = {k: {"min": lo, "max": hi} for k, (lo, hi) in self.quantities.items()}
+        return {**record_json(self), "quantities": quantities}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
 from .corpus import Corpus, baseline_plan, load_corpus
 from .engine import MODE_REMOVE, enforce
-from .errors import EmptyEvaluation, ParseError, ReleaseGateFailed, SchemaError
+from .errors import ConfigIncomplete, EmptyCell, EmptyEvaluation, ParseError, ReleaseGateFailed, SchemaError
 from .metrics import (
     CellSummary,
     ContrastResult,
@@ -41,6 +41,10 @@ BASELINE_CELL = ("", "none")
 BASELINE_LABEL = "human_baseline"
 
 CellKey = tuple[str, str]
+
+REQUIRED_PATHS = (
+    "corpus_dir", "catalog_path", "policy_path", "mapping_rules_path", "proposals_dir", "output_dir",
+)
 
 
 @dataclass
@@ -69,7 +73,19 @@ class RunConfig:
         path = Path(path)
         obj = dict(read_json(path))
         obj.update({k: v for k, v in overrides.items() if v is not None})
-        base = path.parent
+        return cls.from_fields(obj, base=path.parent)
+
+    @classmethod
+    def from_fields(cls, obj: Mapping, base: Path = Path()) -> "RunConfig":
+        """Build a config from document fields; relative paths resolve against ``base``.
+
+        ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
+        every required path that is absent.
+        """
+        obj = {k: v for k, v in obj.items() if v is not None}
+        missing = [k for k in REQUIRED_PATHS if k not in obj]
+        if missing:
+            raise ConfigIncomplete(f"run config is missing {', '.join(missing)}")
 
         def resolve(key):
             value = obj.get(key)
@@ -210,7 +226,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     cells = _aggregate_cells(runs, config.confidence)
     baseline_cell = aggregate(baseline_runs, config.confidence)
 
-    contrasts = compute_contrasts(runs, config.contrast_family)
+    contrasts = compute_contrasts(_cell_outcomes(runs), config.contrast_family)
 
     summary = _corpus_summary(config.rerun_label, cells, runs, coverage_loss)
     _write_outputs(
@@ -250,14 +266,26 @@ def _aggregate_cells(runs: Sequence[RunMetrics], confidence: float) -> dict[Cell
     return {key: aggregate(group, confidence) for key, group in sorted(grouped.items())}
 
 
-def compute_contrasts(
-    runs: Sequence[RunMetrics],
-    family: Sequence[tuple[CellKey, CellKey]],
-) -> list[ContrastResult]:
-    """Paired contrasts over the declared family, Holm-adjusted once across it."""
+def _cell_outcomes(runs: Sequence[RunMetrics]) -> dict[CellKey, dict[str, bool]]:
     outcomes: dict[CellKey, dict[str, bool]] = {}
     for run in runs:
         outcomes.setdefault((run.model_id, run.arm), {})[run.incident_id] = run.violated
+    return outcomes
+
+
+def compute_contrasts(
+    outcomes: Mapping[CellKey, Mapping[str, bool]],
+    family: Sequence[tuple[CellKey, CellKey]],
+) -> list[ContrastResult]:
+    """Paired contrasts over the declared family, Holm-adjusted once across it.
+
+    ``outcomes`` maps each cell to its ``{incident_id: violated}`` flags. A
+    declared cell with no runs raises ``EmptyCell``.
+    """
+    missing = sorted({cell for pair in family for cell in pair} - outcomes.keys())
+    if missing:
+        names = ", ".join(f"{model}/{arm}" for model, arm in missing)
+        raise EmptyCell(f"declared contrast cells with no runs: {names}")
     contrasts = [
         paired_contrast(outcomes[cell_a], outcomes[cell_b], cell_a, cell_b)
         for cell_a, cell_b in family

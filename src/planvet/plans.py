@@ -53,12 +53,13 @@ def parse_proposal(
 
     Extra fields in the document are ignored; duplicates in the contract
     array are preserved (the plan is evidence, not a normalized set).
-    Raises ``ParseError`` (bad JSON), ``MissingField`` or ``WrongType``.
+    Bytes must be UTF-8. Raises ``ParseError`` (not UTF-8 or not JSON),
+    ``MissingField`` or ``WrongType``.
     """
     if isinstance(document, (str, bytes)):
         try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
             raise ParseError(f"proposal for {incident_id}: not valid JSON: {exc}") from exc
     else:
         obj = document
@@ -117,7 +118,7 @@ def load_proposals(directory: Path | str, catalog: ActionCatalog) -> list[Propos
         incident_id, model_id, arm = parts
         plans.append(
             parse_proposal(
-                path.read_text(encoding="utf-8"),
+                path.read_bytes(),
                 catalog,
                 incident_id=incident_id,
                 model_id=model_id,

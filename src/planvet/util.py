@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -25,9 +27,26 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
+@cache
+def _public_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
+
+
+def record_json(record: Any) -> dict:
+    """The public fields of a dataclass record (names not starting with ``_``), by name.
+
+    Shallow: values are not copied, so a record nested in another reaches
+    ``json.dumps`` as a record and serializes through ``default=record_json``.
+    Raises ``TypeError`` for anything that is not a dataclass instance.
+    """
+    return {name: getattr(record, name) for name in _public_fields(type(record))}
+
+
 def canonical_json(obj: Any) -> str:
     """Stable serialization: sorted keys, compact separators, no ASCII escaping."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=record_json
+    )
 
 
 _FOUR_PLACES = Decimal("0.0001")
@@ -62,10 +81,28 @@ def present(obj: Any) -> Any:
 
 
 def write_json(path: Path | str, obj: Any, *, rounded: bool = True) -> None:
-    """Write a deterministic JSON document (sorted keys, trailing newline)."""
+    """Write a deterministic JSON document (sorted keys, trailing newline).
+
+    Rounding reaches floats in dicts and lists only: a record nested in
+    ``obj`` is serialized unrounded, through ``record_json``.
+    """
     payload = present(obj) if rounded else obj
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, default=record_json)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, str]:
+    """Read and parse one JSON file; returns it with the SHA-256 of the bytes parsed.
+
+    Bytes that are not UTF-8 or not JSON raise ``error`` naming the file.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{path.name}: not valid JSON: {exc}") from exc
+    return document, sha256_bytes(data)
 
 
 def read_json(path: Path | str) -> Any:

@@ -24,6 +24,7 @@ from planvet.errors import (
     SelfDependency,
     UnknownActionReference,
 )
+from planvet.util import sha256_text
 
 
 def _catalog(*ids: str) -> ActionCatalog:
@@ -124,6 +125,17 @@ class TestValidatePolicy:
         first = load_policy(bundle / "catalog.json", bundle / "policy.json")
         second = load_policy(bundle / "catalog.json", bundle / "policy.json")
         assert first.canonical() == second.canonical()
+
+    @pytest.mark.parametrize(
+        "catalog_name, policy_name, digest_prefix",
+        [
+            ("catalog.json", "policy.json", "06a922395577a6ff"),
+            ("richer/candidate_catalog.json", "richer/candidate_policy.json", "55be884f964c2ba8"),
+        ],
+    )
+    def test_canonical_bytes_are_pinned(self, bundle, catalog_name, policy_name, digest_prefix):
+        policy = load_policy(bundle / catalog_name, bundle / policy_name)
+        assert sha256_text(policy.canonical()).startswith(digest_prefix)
 
     def test_catalog_rejects_bad_tokens(self):
         with pytest.raises(CatalogError):

@@ -91,6 +91,12 @@ class TestVerify:
         assert err.startswith("SchemaError: inc_0007.json: ")
         assert error in err
 
+    def test_non_utf8_proposal_exits_1_named(self, bundle, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"recommended_actions": ["restore_host"], "note": "caf\u00e9"}'.encode("latin-1"))
+        assert main(_verify_args(bundle, path)) == 1
+        assert capsys.readouterr().err.startswith("ParseError: proposal for inc_0007: not valid JSON")
+
     def test_result_document_written(self, bundle, proposal_file, tmp_path):
         out = tmp_path / "result.json"
         main(_verify_args(bundle, proposal_file, output=out))
@@ -157,6 +163,53 @@ class TestAuditAndMap:
         assert "EmptyEvaluation" in capsys.readouterr().err
 
 
+    def _config(self, bundle, tmp_path, **fields):
+        doc = json.loads((bundle / "config.json").read_text())
+        for key in ("corpus_dir", "catalog_path", "policy_path", "mapping_rules_path", "proposals_dir"):
+            doc[key] = str(bundle / doc[key])
+        doc["output_dir"] = str(tmp_path / "out")
+        doc.update(fields)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        return path
+
+    def test_config_file_without_corpus_dir_exits_1_named(self, bundle, tmp_path, capsys):
+        code = main(["evaluate", "--config", str(self._config(bundle, tmp_path, corpus_dir=None))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigIncomplete: run config is missing corpus_dir")
+
+    def test_undeclared_contrast_cell_exits_1_named(self, bundle, tmp_path, capsys):
+        family = [[["nope", "llm_zero"], ["gpt-5.2", "llm_zero"]]]
+        code = main(["evaluate", "--config", str(self._config(bundle, tmp_path, contrast_family=family))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("EmptyCell: declared contrast cells with no runs: nope/llm_zero")
+
+    @pytest.mark.parametrize(
+        "flag, error",
+        [
+            ("--catalog", "CatalogError"),
+            ("--policy", "PolicyValidationError"),
+            ("--mapping-rules", "ParseError"),
+        ],
+    )
+    def test_non_utf8_declared_input_exits_1_named(self, bundle, tmp_path, capsys, flag, error):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('["caf\u00e9"]'.encode("latin-1"))
+        code = main(["evaluate", "--config", str(bundle / "config.json"), flag, str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"{error}: latin1.json: not valid JSON")
+
+    def test_non_utf8_stored_proposal_exits_1_named(self, bundle, tmp_path, capsys):
+        proposals = tmp_path / "proposals"
+        proposals.mkdir()
+        (proposals / "inc_0001__m__llm_zero.json").write_bytes(b'{"recommended_actions": ["\xe9"]}')
+        code = main(["evaluate", "--config", str(bundle / "config.json"),
+                     "--proposals-dir", str(proposals), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ParseError: proposal for inc_0001: not valid JSON")
+
+
 class TestContrastAndReport:
     def test_contrast_from_metrics(self, bundle, official_eval, tmp_path):
         out_dir = official_eval.config.output_dir
@@ -175,6 +228,19 @@ class TestContrastAndReport:
         doc = json.loads(target.read_text())
         assert doc["contrasts"][0]["delta_rate"] == 0.51
 
+    def test_contrast_with_undeclared_cell_exits_1_named(self, official_eval, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([[["nope", "llm_zero"], ["claude-sonnet-4-6", "llm_zero"]]]))
+        code = main([
+            "contrast",
+            "--metrics", str(official_eval.config.output_dir / "metrics_runs.jsonl"),
+            "--family", str(family),
+            "--output", str(tmp_path / "contrasts.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("EmptyCell: declared contrast cells with no runs: nope/llm_zero")
+        assert not (tmp_path / "contrasts.json").exists()
+
     def test_report_renders_tables(self, official_eval, defer_eval, capsys):
         out_dir = official_eval.config.output_dir
         code = main([
@@ -188,6 +254,22 @@ class TestContrastAndReport:
         assert "<0.0001" in text
         assert "## Approval deferral sensitivity" in text
         assert "| human baseline | 200 | 0.0000 |" in text
+
+
+def test_activation_probe_for_unknown_incident_exits_1_named(bundle, tmp_path, capsys):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"plans": [{"incident_id": "inc_9999", "recommended_actions": []}]}))
+    code = main([
+        "activation-check",
+        "--corpus-dir", str(bundle / "corpus"),
+        "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+        "--policy", str(bundle / "richer" / "candidate_policy.json"),
+        "--plan-source", "probes",
+        "--probes", str(probes),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("IncidentNotFound: inc_9999")
 
 
 def test_cli_import_leaves_jsonschema_out():

@@ -7,6 +7,8 @@ reject exactly what ``jsonschema.Draft7Validator`` does on that schema.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,9 @@ class TestPackageSchema:
     def test_random_mutations_agree_with_jsonschema(self, index, edits):
         obj = incident_obj(index)
         for op, pick, value in edits:
+            # A fresh copy per edit: a shared REPLACEMENTS list or dict that a
+            # later edit mutates could otherwise end up containing itself.
+            value = copy.deepcopy(value)
             slots = _containers(obj, [])
             container, key = slots[pick % len(slots)]
             if op == "drop":
