@@ -112,25 +112,39 @@ class PolicyRule:
 
 @dataclass(frozen=True)
 class ValidatedPolicy:
-    """Catalog + rules with the prerequisite graph materialized and checked."""
+    """Catalog + rules with the prerequisite graph materialized and checked.
+
+    The engine's rule tables are compiled once, here, in ascending rule id
+    (string order): ``mandatory_rules``; ``order_rules``, the
+    ``prohibit_before`` rules per target action; ``approval_rules``, the
+    lowest-id ``require_approval`` rule per target action; and
+    ``rules_by_id``.
+    """
 
     catalog: ActionCatalog
     rules: tuple[PolicyRule, ...]
     prerequisite_edges: tuple[tuple[str, str], ...]  # (prerequisite, target)
     source_sha256: str = ""
-    _by_family: Mapping[str, tuple[PolicyRule, ...]] = field(init=False, repr=False, compare=False)
+    mandatory_rules: tuple[PolicyRule, ...] = field(init=False, repr=False, compare=False)
+    order_rules: Mapping[str, tuple[PolicyRule, ...]] = field(init=False, repr=False, compare=False)
+    approval_rules: Mapping[str, PolicyRule] = field(init=False, repr=False, compare=False)
+    rules_by_id: Mapping[str, PolicyRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_family: dict[str, list[PolicyRule]] = {}
-        for rule in self.rules:
-            by_family.setdefault(rule.family, []).append(rule)
-        object.__setattr__(
-            self, "_by_family", {family: tuple(rules) for family, rules in by_family.items()}
-        )
-
-    def rules_in_family(self, family: str) -> tuple[PolicyRule, ...]:
-        """Rules of one family, in declaration order."""
-        return self._by_family.get(family, ())
+        mandatory: list[PolicyRule] = []
+        order: dict[str, tuple[PolicyRule, ...]] = {}
+        approval: dict[str, PolicyRule] = {}
+        for rule in sorted(self.rules, key=lambda r: r.rule_id):
+            if rule.family == MANDATORY:
+                mandatory.append(rule)
+            elif rule.family == PROHIBIT_BEFORE:
+                order[rule.target_action] = order.get(rule.target_action, ()) + (rule,)
+            elif rule.family == REQUIRE_APPROVAL:
+                approval.setdefault(rule.target_action, rule)
+        object.__setattr__(self, "mandatory_rules", tuple(mandatory))
+        object.__setattr__(self, "order_rules", order)
+        object.__setattr__(self, "approval_rules", approval)
+        object.__setattr__(self, "rules_by_id", {rule.rule_id: rule for rule in self.rules})
 
     def to_json_obj(self) -> dict:
         return {

@@ -133,35 +133,35 @@ def is_fixed_point(
     return not enforce_actions(actions, policy, incident, mode).modified
 
 
+def _record(rule: PolicyRule, action: str, position: int, repair: str) -> ViolationRecord:
+    return ViolationRecord(
+        rule_id=rule.rule_id,
+        family=rule.family,
+        violation_type=VIOLATION_TYPE_BY_FAMILY[rule.family],
+        action_id=action,
+        position=position,
+        repair=repair,
+        severity=rule.severity,
+    )
+
+
 # -- pass 1: mandatory insertion --------------------------------------------
 
 def _pass_mandatory(working, policy, incident, violations, edit_counts, tag_counter):
-    for rule in sorted(policy.rules_in_family(MANDATORY), key=lambda r: r.rule_id):
+    for rule in policy.mandatory_rules:
         if not scope_matches(rule, incident.telemetry):
             continue
         if any(action == rule.target_action for action, _ in working):
             continue
         working.append((rule.target_action, next(tag_counter)))
-        violations.append(
-            ViolationRecord(
-                rule_id=rule.rule_id,
-                family=MANDATORY,
-                violation_type="missing_mandatory",
-                action_id=rule.target_action,
-                position=len(working) - 1,
-                repair="insert",
-                severity=rule.severity,
-            )
-        )
+        violations.append(_record(rule, rule.target_action, len(working) - 1, "insert"))
         edit_counts["insert"] += 1
 
 
 # -- pass 2: ordering repair to a fixed point --------------------------------
 
 def _pass_ordering(working, policy, violations, edit_counts, tag_counter):
-    rules_by_target: dict[str, list[PolicyRule]] = {}
-    for rule in sorted(policy.rules_in_family(PROHIBIT_BEFORE), key=lambda r: r.rule_id):
-        rules_by_target.setdefault(rule.target_action, []).append(rule)
+    rules_by_target = policy.order_rules
     if not rules_by_target:
         return
 
@@ -191,17 +191,7 @@ def _pass_ordering(working, policy, violations, edit_counts, tag_counter):
             )
         fired.add(pair)
         working.insert(index, (rule.prerequisite_action, next(tag_counter)))
-        violations.append(
-            ViolationRecord(
-                rule_id=rule.rule_id,
-                family=PROHIBIT_BEFORE,
-                violation_type="order_violation",
-                action_id=rule.prerequisite_action,
-                position=index,
-                repair="insert_before",
-                severity=rule.severity,
-            )
-        )
+        violations.append(_record(rule, rule.prerequisite_action, index, "insert_before"))
         edit_counts["insert_before"] += 1
 
 
@@ -225,12 +215,11 @@ def _leftmost_order_violation(working, rules_by_target):
 def _pass_approval(working, policy, incident, mode, violations, edit_counts, deferred):
     # One repair per occurrence: when several approval rules target the same
     # action the lowest rule id carries the record.
-    rule_by_action: dict[str, PolicyRule] = {}
-    for rule in sorted(policy.rules_in_family(REQUIRE_APPROVAL), key=lambda r: r.rule_id):
-        rule_by_action.setdefault(rule.target_action, rule)
+    rule_by_action = policy.approval_rules
     if not rule_by_action:
         return
     approved = incident.approved_actions()
+    repair = "remove" if mode == MODE_REMOVE else "defer"
 
     index = 0
     while index < len(working):
@@ -239,33 +228,11 @@ def _pass_approval(working, policy, incident, mode, violations, edit_counts, def
         if rule is None or action in approved:
             index += 1
             continue
+        violations.append(_record(rule, action, index, repair))
+        edit_counts[repair] += 1
         if mode == MODE_REMOVE:
-            violations.append(
-                ViolationRecord(
-                    rule_id=rule.rule_id,
-                    family=REQUIRE_APPROVAL,
-                    violation_type="approval_required",
-                    action_id=action,
-                    position=index,
-                    repair="remove",
-                    severity=rule.severity,
-                )
-            )
-            edit_counts["remove"] += 1
             del working[index]
         else:
-            violations.append(
-                ViolationRecord(
-                    rule_id=rule.rule_id,
-                    family=REQUIRE_APPROVAL,
-                    violation_type="approval_required",
-                    action_id=action,
-                    position=index,
-                    repair="defer",
-                    severity=rule.severity,
-                )
-            )
-            edit_counts["defer"] += 1
             deferred.append(action)
             index += 1
 
@@ -278,12 +245,11 @@ def fired_order_edges(
     result: EnforcementResult, policy: ValidatedPolicy
 ) -> tuple[tuple[str, str], ...]:
     """(prerequisite, target) edge per ordering repair in the trace."""
-    by_rule = {r.rule_id: r for r in policy.rules}
     edges = []
     for violation in result.violations:
         if violation.violation_type != "order_violation":
             continue
-        rule = by_rule[violation.rule_id]
+        rule = policy.rules_by_id[violation.rule_id]
         edges.append((rule.prerequisite_action, rule.target_action))
     return tuple(edges)
 

@@ -109,6 +109,10 @@ class ConfigIncomplete(PlanvetError):
     """A run config leaves a required input or output path unset."""
 
 
+class ConfigInvalid(PlanvetError):
+    """A run config is not a JSON object or holds a value the run cannot use."""
+
+
 class IoError(PlanvetError):
     """Manifest input file could not be read."""
 

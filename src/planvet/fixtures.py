@@ -14,19 +14,17 @@ the real pipeline rather than trusting the generator.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .audit import DEFAULT_PRIVACY_PATTERNS
+from .plans import ARM_POLICY, ARM_ZERO
 
 N_INCIDENTS = 200
 
 MODEL_CLAUDE = "claude-sonnet-4-6"
 MODEL_GPT = "gpt-5.2"
-ARM_ZERO = "llm_zero"
-ARM_POLICY = "llm_policy_prompt"
 
 # Corpus category mix (counts sum to 200).
 CATEGORY_COUNTS = {
@@ -188,51 +186,42 @@ def _entry(action_id: str, name: str, *, gate: bool, reversible: bool, baseline:
     }
 
 
+def _mandatory(rule_id, target, scope_event, commands=(), rationale=""):
+    return _rule(rule_id, "mandatory", target, "insert", rationale, None,
+                 {"event_type_contains": scope_event, "command_contains": list(commands)})
+
+
+def _ordering(rule_id, target, prerequisite, rationale=""):
+    return _rule(rule_id, "prohibit_before", target, "insert_before", rationale, prerequisite, None)
+
+
+def _approval(rule_id, target, operator, rationale=""):
+    return _rule(rule_id, "require_approval", target, operator, rationale, None, None)
+
+
+def _rule(rule_id, family, target, operator, rationale, prerequisite, scope) -> dict:
+    return {
+        "rule_id": rule_id,
+        "family": family,
+        "target_action": target,
+        "severity": "hard",
+        "repair_operator": operator,
+        "rationale": rationale,
+        "prerequisite_action": prerequisite,
+        "scope": scope,
+    }
+
+
 def official_policy_obj() -> list[dict]:
     return [
-        {
-            "rule_id": "R1",
-            "family": "mandatory",
-            "target_action": "isolate_host",
-            "severity": "hard",
-            "repair_operator": "insert",
-            "rationale": "Contain hosts that show a high-confidence reverse-shell pattern.",
-            "prerequisite_action": None,
-            "scope": {
-                "event_type_contains": "command_execution",
-                "command_contains": ["bash -i", "/dev/tcp/"],
-            },
-        },
-        {
-            "rule_id": "R2",
-            "family": "prohibit_before",
-            "target_action": "restore_host",
-            "severity": "hard",
-            "repair_operator": "insert_before",
-            "rationale": "Preserve forensic evidence before any recovery action.",
-            "prerequisite_action": "collect_forensics",
-            "scope": None,
-        },
-        {
-            "rule_id": "R3",
-            "family": "require_approval",
-            "target_action": "restore_host",
-            "severity": "hard",
-            "repair_operator": "remove",
-            "rationale": "Host restoration changes system state and needs recorded approval.",
-            "prerequisite_action": None,
-            "scope": None,
-        },
-        {
-            "rule_id": "R4",
-            "family": "require_approval",
-            "target_action": "isolate_host",
-            "severity": "hard",
-            "repair_operator": "remove",
-            "rationale": "Containment of production assets needs recorded approval.",
-            "prerequisite_action": None,
-            "scope": None,
-        },
+        _mandatory("R1", "isolate_host", "command_execution", ["bash -i", "/dev/tcp/"],
+                   "Contain hosts that show a high-confidence reverse-shell pattern."),
+        _ordering("R2", "restore_host", "collect_forensics",
+                  "Preserve forensic evidence before any recovery action."),
+        _approval("R3", "restore_host", "remove",
+                  "Host restoration changes system state and needs recorded approval."),
+        _approval("R4", "isolate_host", "remove",
+                  "Containment of production assets needs recorded approval."),
     ]
 
 
@@ -431,76 +420,40 @@ def candidate_catalog_obj() -> list[dict]:
 
 
 def candidate_policy_obj() -> list[dict]:
-    def mandatory(rule_id, target, scope_event, commands=(), rationale=""):
-        return {
-            "rule_id": rule_id,
-            "family": "mandatory",
-            "target_action": target,
-            "severity": "hard",
-            "repair_operator": "insert",
-            "rationale": rationale,
-            "prerequisite_action": None,
-            "scope": {"event_type_contains": scope_event, "command_contains": list(commands)},
-        }
-
-    def ordering(rule_id, target, prerequisite, rationale=""):
-        return {
-            "rule_id": rule_id,
-            "family": "prohibit_before",
-            "target_action": target,
-            "severity": "hard",
-            "repair_operator": "insert_before",
-            "rationale": rationale,
-            "prerequisite_action": prerequisite,
-            "scope": None,
-        }
-
-    def approval(rule_id, target, operator, rationale=""):
-        return {
-            "rule_id": rule_id,
-            "family": "require_approval",
-            "target_action": target,
-            "severity": "hard",
-            "repair_operator": operator,
-            "rationale": rationale,
-            "prerequisite_action": None,
-            "scope": None,
-        }
-
     return [
-        mandatory("C01", "isolate_host", "command_execution", ["bash -i", "/dev/tcp/"],
-                  "Contain hosts showing a reverse-shell pattern."),
-        mandatory("C02", "collect_forensics", "detection",
-                  rationale="Detections always warrant evidence collection."),
-        mandatory("C03", "snapshot_memory", "malware",
-                  rationale="Capture volatile state on malware incidents."),
-        mandatory("C04", "revoke_session_tokens", "authentication",
-                  rationale="Credential-abuse incidents invalidate live sessions."),
-        mandatory("C05", "escalate_to_incident_commander", "exploit",
-                  rationale="Exploitation activity requires command escalation."),
-        mandatory("C06", "notify_stakeholders", "policy_review",
-                  rationale="Policy findings are communicated to owners."),
-        ordering("C07", "reconnect_host", "restore_host",
-                 "Hosts rejoin the network only after restoration."),
-        ordering("C08", "restore_host", "collect_forensics",
-                 "Preserve evidence before recovery."),
-        ordering("C09", "collect_forensics", "snapshot_memory",
-                 "Volatile capture precedes disk forensics."),
-        ordering("C10", "isolate_host", "snapshot_memory",
-                 "Volatile capture precedes containment state changes."),
-        ordering("C11", "reset_admin_credentials", "isolate_host",
-                 "Contain before rotating credentials."),
-        ordering("C12", "block_egress_ip", "capture_network_traffic",
-                 "Record traffic before blocking egress."),
-        ordering("C13", "reimage_host", "verify_backup_integrity",
-                 "Check backups before destructive reimaging."),
-        approval("C14", "restore_host", "remove", "Recovery is approval-gated."),
-        approval("C15", "isolate_host", "remove", "Containment is approval-gated."),
-        approval("C16", "block_egress_ip", "remove", "Egress blocking is approval-gated."),
-        approval("C17", "reimage_host", "defer_to_human_approval",
-                 "Reimaging defers to the analyst."),
-        approval("C18", "reconnect_host", "defer_to_human_approval",
-                 "Reconnection defers to the analyst."),
+        _mandatory("C01", "isolate_host", "command_execution", ["bash -i", "/dev/tcp/"],
+                   "Contain hosts showing a reverse-shell pattern."),
+        _mandatory("C02", "collect_forensics", "detection",
+                   rationale="Detections always warrant evidence collection."),
+        _mandatory("C03", "snapshot_memory", "malware",
+                   rationale="Capture volatile state on malware incidents."),
+        _mandatory("C04", "revoke_session_tokens", "authentication",
+                   rationale="Credential-abuse incidents invalidate live sessions."),
+        _mandatory("C05", "escalate_to_incident_commander", "exploit",
+                   rationale="Exploitation activity requires command escalation."),
+        _mandatory("C06", "notify_stakeholders", "policy_review",
+                   rationale="Policy findings are communicated to owners."),
+        _ordering("C07", "reconnect_host", "restore_host",
+                  "Hosts rejoin the network only after restoration."),
+        _ordering("C08", "restore_host", "collect_forensics",
+                  "Preserve evidence before recovery."),
+        _ordering("C09", "collect_forensics", "snapshot_memory",
+                  "Volatile capture precedes disk forensics."),
+        _ordering("C10", "isolate_host", "snapshot_memory",
+                  "Volatile capture precedes containment state changes."),
+        _ordering("C11", "reset_admin_credentials", "isolate_host",
+                  "Contain before rotating credentials."),
+        _ordering("C12", "block_egress_ip", "capture_network_traffic",
+                  "Record traffic before blocking egress."),
+        _ordering("C13", "reimage_host", "verify_backup_integrity",
+                  "Check backups before destructive reimaging."),
+        _approval("C14", "restore_host", "remove", "Recovery is approval-gated."),
+        _approval("C15", "isolate_host", "remove", "Containment is approval-gated."),
+        _approval("C16", "block_egress_ip", "remove", "Egress blocking is approval-gated."),
+        _approval("C17", "reimage_host", "defer_to_human_approval",
+                  "Reimaging defers to the analyst."),
+        _approval("C18", "reconnect_host", "defer_to_human_approval",
+                  "Reconnection defers to the analyst."),
     ]
 
 
@@ -585,7 +538,3 @@ def build_bundle(dest: Path | str) -> Path:
         },
     )
     return dest
-
-
-def clean_bundle(dest: Path | str) -> None:
-    shutil.rmtree(dest, ignore_errors=True)

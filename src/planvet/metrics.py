@@ -266,6 +266,11 @@ def holm_adjust(p_values: Sequence[float]) -> list[float]:
 # Paired contrasts
 # ---------------------------------------------------------------------------
 
+def cell_name(cell: tuple[str, str]) -> str:
+    """``model/arm``, as errors name a cell."""
+    return "/".join(cell)
+
+
 def paired_contrast(
     outcomes_a: Mapping[str, bool],
     outcomes_b: Mapping[str, bool],
@@ -275,8 +280,14 @@ def paired_contrast(
     """Matched-incident contrast: delta rate, discordant counts, exact McNemar,
     Cohen's h. Holm correction is applied by the caller across its declared
     contrast family."""
-    if set(outcomes_a) != set(outcomes_b):
-        raise KeyMismatch("contrast requires identical incident key sets")
+    unpaired = outcomes_a.keys() ^ outcomes_b.keys()
+    if unpaired:
+        incident = min(unpaired)
+        only_in = cell_a if incident in outcomes_a else cell_b
+        raise KeyMismatch(
+            f"contrast {cell_name(cell_a)} vs {cell_name(cell_b)} requires identical incident "
+            f"key sets: {incident} is only in {cell_name(only_in)}"
+        )
     if not outcomes_a:
         raise EmptyCell("contrast requires at least one matched incident")
     n = len(outcomes_a)

@@ -20,13 +20,22 @@ from typing import Mapping, Sequence
 from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
 from .corpus import Corpus, baseline_plan, load_corpus
-from .engine import MODE_REMOVE, enforce
-from .errors import ConfigIncomplete, EmptyCell, EmptyEvaluation, ParseError, ReleaseGateFailed, SchemaError
+from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
+from .errors import (
+    ConfigIncomplete,
+    ConfigInvalid,
+    EmptyCell,
+    EmptyEvaluation,
+    ParseError,
+    ReleaseGateFailed,
+    SchemaError,
+)
 from .metrics import (
     CellSummary,
     ContrastResult,
     RunMetrics,
     aggregate,
+    cell_name,
     holm_adjust,
     paired_contrast,
     run_metrics,
@@ -71,8 +80,10 @@ class RunConfig:
         ignored so CLI flags only bite when actually given.
         """
         path = Path(path)
-        obj = dict(read_json(path))
-        obj.update({k: v for k, v in overrides.items() if v is not None})
+        document = read_json(path)
+        if not isinstance(document, dict):
+            raise ConfigInvalid(f"{path.name}: run config must be a JSON object")
+        obj = {**document, **{k: v for k, v in overrides.items() if v is not None}}
         return cls.from_fields(obj, base=path.parent)
 
     @classmethod
@@ -80,12 +91,25 @@ class RunConfig:
         """Build a config from document fields; relative paths resolve against ``base``.
 
         ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
-        every required path that is absent.
+        every required path that is absent, and ``ConfigInvalid`` for an
+        unknown approval mode, a confidence that is not a number in (0, 1)
+        or a ``skip_gates`` that is not a boolean.
         """
         obj = {k: v for k, v in obj.items() if v is not None}
         missing = [k for k in REQUIRED_PATHS if k not in obj]
         if missing:
             raise ConfigIncomplete(f"run config is missing {', '.join(missing)}")
+        approval_mode = obj.get("approval_mode", MODE_REMOVE)
+        if approval_mode not in APPROVAL_MODES:
+            raise ConfigInvalid(
+                f"unknown approval_mode {approval_mode!r}; expected one of {', '.join(APPROVAL_MODES)}"
+            )
+        confidence = obj.get("confidence", 0.95)
+        if not isinstance(confidence, (int, float)) or not 0 < confidence < 1:  # True/False fail the range
+            raise ConfigInvalid(f"confidence must be a number in (0, 1), got {confidence!r}")
+        skip_gates = obj.get("skip_gates", False)
+        if not isinstance(skip_gates, bool):  # "false" must not switch the gates off
+            raise ConfigInvalid(f"skip_gates must be true or false, got {skip_gates!r}")
 
         def resolve(key):
             value = obj.get(key)
@@ -104,11 +128,11 @@ class RunConfig:
             mapping_rules_path=resolve("mapping_rules_path"),
             proposals_dir=resolve("proposals_dir"),
             output_dir=resolve("output_dir"),
-            approval_mode=obj.get("approval_mode", MODE_REMOVE),
-            confidence=float(obj.get("confidence", 0.95)),
+            approval_mode=approval_mode,
+            confidence=float(confidence),
             contrast_family=family,
             rerun_label=obj.get("rerun_label", "r1"),
-            skip_gates=bool(obj.get("skip_gates", False)),
+            skip_gates=skip_gates,
             privacy_patterns_path=resolve("privacy_patterns_path"),
             forbidden_terms_path=resolve("forbidden_terms_path"),
         )
@@ -182,11 +206,14 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     if not proposals:
         raise EmptyEvaluation(f"no proposal documents under {config.proposals_dir}")
 
-    output_dir = Path(config.output_dir)
-    enforced_dir = output_dir / "enforced"
-    enforced_dir.mkdir(parents=True, exist_ok=True)
-
     baselines = {pkg.incident_id: baseline_plan(pkg) for pkg in corpus}
+
+    # Fail fast on a contrast family whose cells cannot pair up: check it on
+    # the planned runs before anything is enforced or written.
+    compute_contrasts(_planned_outcomes(proposals, baselines), config.contrast_family)
+
+    enforced_dir = Path(config.output_dir) / "enforced"
+    enforced_dir.mkdir(parents=True, exist_ok=True)
 
     runs: list[RunMetrics] = []
     failures: list[dict] = []
@@ -228,13 +255,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 
     contrasts = compute_contrasts(_cell_outcomes(runs), config.contrast_family)
 
-    summary = _corpus_summary(config.rerun_label, cells, runs, coverage_loss)
-    _write_outputs(
-        config, corpus, cells, baseline_cell, contrasts, runs, baseline_runs,
-        summary, planned, failures, policy_sha,
-    )
-
-    return EvaluationResult(
+    evaluation = EvaluationResult(
         config=config,
         policy=policy,
         cells=cells,
@@ -246,8 +267,10 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         completed=len(runs),
         failures=failures,
         coverage_loss_runs=coverage_loss,
-        summary=summary,
+        summary=_corpus_summary(config.rerun_label, cells, runs, coverage_loss),
     )
+    _write_outputs(evaluation, corpus)
+    return evaluation
 
 
 def _lost_coverage(plan: ProposedPlan, result, baseline: ProposedPlan) -> bool:
@@ -264,6 +287,18 @@ def _aggregate_cells(runs: Sequence[RunMetrics], confidence: float) -> dict[Cell
     for run in runs:
         grouped.setdefault((run.model_id, run.arm), []).append(run)
     return {key: aggregate(group, confidence) for key, group in sorted(grouped.items())}
+
+
+def _planned_outcomes(
+    proposals: Sequence[ProposedPlan], baselines: Mapping[str, ProposedPlan]
+) -> dict[CellKey, dict[str, bool]]:
+    """Per cell, the incidents it will have runs for. Proposals for incidents
+    without a baseline (outside the corpus) are left out: they fail as runs."""
+    outcomes: dict[CellKey, dict[str, bool]] = {}
+    for plan in proposals:
+        if plan.incident_id in baselines:
+            outcomes.setdefault(plan.cell(), {})[plan.incident_id] = False
+    return outcomes
 
 
 def _cell_outcomes(runs: Sequence[RunMetrics]) -> dict[CellKey, dict[str, bool]]:
@@ -284,8 +319,7 @@ def compute_contrasts(
     """
     missing = sorted({cell for pair in family for cell in pair} - outcomes.keys())
     if missing:
-        names = ", ".join(f"{model}/{arm}" for model, arm in missing)
-        raise EmptyCell(f"declared contrast cells with no runs: {names}")
+        raise EmptyCell(f"declared contrast cells with no runs: {', '.join(map(cell_name, missing))}")
     contrasts = [
         paired_contrast(outcomes[cell_a], outcomes[cell_b], cell_a, cell_b)
         for cell_a, cell_b in family
@@ -331,36 +365,25 @@ def _corpus_summary(
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _write_outputs(
-    config: RunConfig,
-    corpus: Corpus,
-    cells: Mapping[CellKey, CellSummary],
-    baseline_cell: CellSummary,
-    contrasts: Sequence[ContrastResult],
-    runs: Sequence[RunMetrics],
-    baseline_runs: Sequence[RunMetrics],
-    summary: dict,
-    planned: int,
-    failures: list[dict],
-    policy_sha: str,
-) -> None:
+def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
     from .util import present
 
+    config = result.config
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     with open(output_dir / "metrics_runs.jsonl", "w", encoding="utf-8") as fh:
-        for run in list(runs) + list(baseline_runs):
+        for run in result.runs + result.baseline_runs:
             fh.write(json.dumps(present(run.to_json_obj()), sort_keys=True) + "\n")
 
-    cell_objs = [cells[key].to_json_obj() for key in sorted(cells)]
-    baseline_obj = baseline_cell.to_json_obj()
+    cell_objs = [result.cells[key].to_json_obj() for key in sorted(result.cells)]
+    baseline_obj = result.baseline_cell.to_json_obj()
     baseline_obj["label"] = BASELINE_LABEL
     write_json(output_dir / "cell_summaries.json", {"cells": cell_objs, "baseline": baseline_obj})
 
-    write_json(output_dir / "contrasts.json", {"contrasts": [c.to_json_obj() for c in contrasts]})
+    write_json(output_dir / "contrasts.json", {"contrasts": [c.to_json_obj() for c in result.contrasts]})
 
-    write_json(output_dir / f"summary_{config.rerun_label}.json", summary)
+    write_json(output_dir / f"summary_{config.rerun_label}.json", result.summary)
 
     # Stability bands cover every labeled rerun present in the output dir,
     # including the one just written.
@@ -376,17 +399,17 @@ def _write_outputs(
         [config.catalog_path, config.policy_path, config.mapping_rules_path],
         extra={
             "corpus_files": len(corpus.digests),
-            "policy_sha256": policy_sha,
+            "policy_sha256": result.policy.source_sha256,
             "approval_mode": config.approval_mode,
             "confidence": config.confidence,
             "rerun_label": config.rerun_label,
             "run_accounting": {
-                "planned_llm_runs": planned,
-                "completed_llm_runs": len(runs),
-                "failed_llm_runs": len(failures),
-                "failures": failures,
-                "planned_baselines": len(baseline_runs),
-                "completed_baselines": len(baseline_runs),
+                "planned_llm_runs": result.planned,
+                "completed_llm_runs": result.completed,
+                "failed_llm_runs": len(result.failures),
+                "failures": result.failures,
+                "planned_baselines": len(result.baseline_runs),
+                "completed_baselines": len(result.baseline_runs),
             },
         },
     )

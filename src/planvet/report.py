@@ -44,6 +44,19 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _outcome_row(label: str, cell: dict) -> list[str]:
+    return [
+        label,
+        str(cell["n_runs"]),
+        _fmt(cell["violation_rate"]),
+        f"[{_fmt(cell['wilson_low'])}, {_fmt(cell['wilson_high'])}]",
+        _fmt(cell["hard_per_run"]),
+        _fmt(cell["edit_rate"]),
+        _fmt(cell["mean_coverage"]),
+        _fmt(cell["mean_delta_jaccard"]),
+    ]
+
+
 def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -> str:
     """Render evaluation tables from an output directory (plus an optional
     defer-mode directory for the approval-sensitivity view)."""
@@ -56,33 +69,8 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
     sections = ["# Evaluation report", ""]
 
     # -- outcomes by model and arm -------------------------------------------
-    rows = []
-    for cell in cells_doc["cells"]:
-        rows.append(
-            [
-                _cell_label(cell["model_id"], cell["arm"]),
-                str(cell["n_runs"]),
-                _fmt(cell["violation_rate"]),
-                f"[{_fmt(cell['wilson_low'])}, {_fmt(cell['wilson_high'])}]",
-                _fmt(cell["hard_per_run"]),
-                _fmt(cell["edit_rate"]),
-                _fmt(cell["mean_coverage"]),
-                _fmt(cell["mean_delta_jaccard"]),
-            ]
-        )
-    base = cells_doc["baseline"]
-    rows.append(
-        [
-            "human baseline",
-            str(base["n_runs"]),
-            _fmt(base["violation_rate"]),
-            f"[{_fmt(base['wilson_low'])}, {_fmt(base['wilson_high'])}]",
-            _fmt(base["hard_per_run"]),
-            _fmt(base["edit_rate"]),
-            _fmt(base["mean_coverage"]),
-            _fmt(base["mean_delta_jaccard"]),
-        ]
-    )
+    rows = [_outcome_row(_cell_label(c["model_id"], c["arm"]), c) for c in cells_doc["cells"]]
+    rows.append(_outcome_row("human baseline", cells_doc["baseline"]))
     sections += [
         "## Outcomes by model and arm",
         "",

@@ -10,6 +10,8 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
+from .errors import ParseError
+
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -106,4 +108,5 @@ def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, s
 
 
 def read_json(path: Path | str) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read and parse one JSON file; bytes that are not UTF-8 or not JSON raise ``ParseError``."""
+    return read_json_document(path, ParseError)[0]

@@ -184,17 +184,26 @@ class TestLookups:
         with pytest.raises(UnknownActionReference):
             validate_policy(_catalog("isolate_host"), [rule])
 
-    def test_rules_in_family_keep_declaration_order(self):
+    def test_compiled_rule_tables_ascend_by_rule_id(self):
         catalog = _catalog("a", "b", "c")
         rules = [
-            _order_rule("R9", "a", "b"),
+            PolicyRule("M2", "mandatory", "a", "hard", "insert", scope=ScopePredicate("x")),
+            _order_rule("R9", "a", "c"),
+            PolicyRule("R5", "require_approval", "c", "hard", "remove"),
+            _order_rule("R2", "b", "c"),
+            PolicyRule("M1", "mandatory", "b", "hard", "insert", scope=ScopePredicate("y")),
             PolicyRule("R1", "require_approval", "c", "hard", "remove"),
-            _order_rule("R2", "a", "c"),
+            _order_rule("R3", "a", "b"),
         ]
         policy = validate_policy(catalog, rules)
-        assert [r.rule_id for r in policy.rules_in_family("prohibit_before")] == ["R9", "R2"]
-        assert [r.rule_id for r in policy.rules_in_family("require_approval")] == ["R1"]
-        assert policy.rules_in_family("mandatory") == ()
+        assert [r.rule_id for r in policy.mandatory_rules] == ["M1", "M2"]
+        assert {t: [r.rule_id for r in rs] for t, rs in policy.order_rules.items()} == {
+            "b": ["R3"], "c": ["R2", "R9"],
+        }
+        # Of two approval rules on one action the lowest id wins.
+        assert {t: r.rule_id for t, r in policy.approval_rules.items()} == {"c": "R1"}
+        assert set(policy.rules_by_id) == {r.rule_id for r in rules}
+        assert policy.rules == tuple(rules)
 
 
 class TestScopeMatches:

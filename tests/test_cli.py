@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,53 @@ class TestAuditAndMap:
         assert code == 1
         assert capsys.readouterr().err.startswith("ParseError: proposal for inc_0001: not valid JSON")
 
+    def test_truncated_config_exits_1_named(self, bundle, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text((bundle / "config.json").read_text()[:40])
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ParseError: config.json: not valid JSON")
+
+    def test_config_that_is_not_an_object_exits_1_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('[["corpus_dir", "corpus"]]')
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ConfigInvalid: config.json: run config must be a JSON object")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"approval_mode": "bogus"}, "unknown approval_mode 'bogus'"),
+            ({"confidence": "high"}, "confidence must be a number in (0, 1), got 'high'"),
+            ({"confidence": 1}, "confidence must be a number in (0, 1), got 1"),
+            ({"skip_gates": "false"}, "skip_gates must be true or false, got 'false'"),
+        ],
+    )
+    def test_bad_config_value_exits_1_before_any_output(self, bundle, tmp_path, capsys, fields, message):
+        code = main(["evaluate", "--config", str(self._config(bundle, tmp_path, **fields))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ConfigInvalid: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_privacy_patterns_exit_1_named(self, bundle, tmp_path, capsys):
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text((bundle / "privacy_patterns.json").read_text()[:20])
+        code = main(["evaluate", "--config", str(self._config(bundle, tmp_path)),
+                     "--privacy-patterns", str(patterns)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ParseError: patterns.json: not valid JSON")
+
+    def test_unpaired_contrast_cell_exits_1_before_any_output(self, bundle, tmp_path, capsys):
+        proposals = tmp_path / "proposals"
+        shutil.copytree(bundle / "proposals", proposals)
+        (proposals / "inc_0002__gpt-5.2__llm_zero.json").unlink()
+        config = self._config(bundle, tmp_path, proposals_dir=str(proposals))
+        assert main(["evaluate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "KeyMismatch: contrast claude-sonnet-4-6/llm_policy_prompt vs gpt-5.2/llm_zero "
+            "requires identical incident key sets: inc_0002 is only in claude-sonnet-4-6/llm_policy_prompt"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestContrastAndReport:
     def test_contrast_from_metrics(self, bundle, official_eval, tmp_path):
@@ -241,6 +289,18 @@ class TestContrastAndReport:
         assert capsys.readouterr().err.startswith("EmptyCell: declared contrast cells with no runs: nope/llm_zero")
         assert not (tmp_path / "contrasts.json").exists()
 
+    def test_truncated_family_file_exits_1_named(self, official_eval, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text('[[["claude-sonnet-4-6", "llm_zero"]')
+        code = main([
+            "contrast",
+            "--metrics", str(official_eval.config.output_dir / "metrics_runs.jsonl"),
+            "--family", str(family),
+            "--output", str(tmp_path / "contrasts.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ParseError: family.json: not valid JSON")
+
     def test_report_renders_tables(self, official_eval, defer_eval, capsys):
         out_dir = official_eval.config.output_dir
         code = main([
@@ -270,6 +330,22 @@ def test_activation_probe_for_unknown_incident_exits_1_named(bundle, tmp_path, c
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("IncidentNotFound: inc_9999")
+
+
+def test_truncated_probes_file_exits_1_named(bundle, tmp_path, capsys):
+    probes = tmp_path / "probes.json"
+    probes.write_text('{"plans": [')
+    code = main([
+        "activation-check",
+        "--corpus-dir", str(bundle / "corpus"),
+        "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+        "--policy", str(bundle / "richer" / "candidate_policy.json"),
+        "--plan-source", "probes",
+        "--probes", str(probes),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ParseError: probes.json: not valid JSON")
 
 
 def test_cli_import_leaves_jsonschema_out():

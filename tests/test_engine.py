@@ -130,6 +130,14 @@ class TestOrderingChains:
         assert result.enforced_actions == ("x", "y", "a", "b")
         assert [v.rule_id for v in result.violations] == ["r2", "r1"]
 
+    def test_rules_on_one_occurrence_fire_in_ascending_id(self):
+        catalog = _catalog(["a", "b", "c"])
+        policy = validate_policy(catalog, [_order("r9", "a", "c"), _order("r2", "b", "c")])
+        result = enforce_actions(["c"], policy, _incident(), MODE_REMOVE)
+        # r2 inserts b before c; r9 then inserts a before that same c
+        assert [v.rule_id for v in result.violations] == ["r2", "r9"]
+        assert result.enforced_actions == ("b", "a", "c")
+
     def test_multiple_target_occurrences_need_one_insertion(self):
         catalog = _catalog(["a", "b"])
         policy = validate_policy(catalog, [_order("r1", "a", "b")])
@@ -205,6 +213,13 @@ class TestApprovalPass:
         incident = _incident(approved=("g",))
         result = enforce_actions(["g", "g"], policy, incident, MODE_REMOVE)
         assert result.violations == ()
+
+    def test_lowest_rule_id_carries_the_record_whatever_the_declaration_order(self):
+        catalog = _catalog(["g"], gated=("g",))
+        policy = validate_policy(catalog, [_approval("r9", "g"), _approval("r1", "g")])
+        for mode in (MODE_REMOVE, MODE_DEFER):
+            result = enforce_actions(["g"], policy, _incident(), mode)
+            assert [v.rule_id for v in result.violations] == ["r1"]
 
 
 class TestSelfConflictingPolicyCorner:
