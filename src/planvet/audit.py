@@ -17,7 +17,7 @@ from . import __version__ as _tool_version
 from .catalog import ActionCatalog, ValidatedPolicy
 from .corpus import PROXY_APPROVAL_SOURCE, Corpus, PackageFile, TaskRecord, read_packages
 from .engine import MODE_DEFER, MODE_REMOVE, enforce, order_chain_depth
-from .errors import IoError
+from .errors import ConfigInvalid, IoError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
 from .util import canonical_json, read_json, record_json, sha256_file, sha256_text
@@ -101,7 +101,7 @@ def _iter_strings(obj, path: str):
 def privacy_scan(
     documents: Iterable[tuple[str, object]],
     forbidden_terms: Sequence[str] = (),
-    patterns: Mapping[str, str] | None = None,
+    patterns: Mapping[str, str | re.Pattern] | None = None,
 ) -> list[PrivacyFinding]:
     """Scan every text field of every document; deterministic finding order.
 
@@ -151,14 +151,39 @@ def privacy_scan(
 
 def load_gate_inputs(
     patterns_path: Path | str | None, terms_path: Path | str | None
-) -> tuple[dict | None, tuple[str, ...]]:
-    """Read the privacy pattern file and the forbidden-term list (one term per line)."""
-    patterns = read_json(patterns_path) if patterns_path else None
+) -> tuple[dict[str, re.Pattern] | None, tuple[str, ...]]:
+    """Read the privacy pattern file and the forbidden-term list (one term per line).
+
+    The pattern file is a JSON object of kind -> regular expression; each
+    pattern is compiled here, once. Raises ``ConfigInvalid`` naming the
+    file (and the kind) for any other document or a pattern that does not
+    compile.
+    """
+    patterns = _compile_patterns(Path(patterns_path)) if patterns_path else None
     terms: tuple[str, ...] = ()
     if terms_path:
         text = Path(terms_path).read_text(encoding="utf-8")
         terms = tuple(line.strip() for line in text.splitlines() if line.strip())
     return patterns, terms
+
+
+def _compile_patterns(path: Path) -> dict[str, re.Pattern]:
+    document = read_json(path)
+    if not isinstance(document, dict):
+        raise ConfigInvalid(
+            f"{path.name}: privacy patterns must be a JSON object of kind -> regular expression"
+        )
+    compiled: dict[str, re.Pattern] = {}
+    for kind, expr in document.items():
+        if not isinstance(expr, str):
+            raise ConfigInvalid(f"{path.name}: pattern for kind {kind!r} must be a string, got {expr!r}")
+        try:
+            compiled[kind] = re.compile(expr)
+        except re.error as exc:
+            raise ConfigInvalid(
+                f"{path.name}: pattern for kind {kind!r} does not compile: {exc}"
+            ) from None
+    return compiled
 
 
 class ReleaseGate:
@@ -181,7 +206,7 @@ class ReleaseGate:
         mapping_rules: Sequence[MappingRule],
         *,
         forbidden_terms: Sequence[str] = (),
-        patterns: Mapping[str, str] | None = None,
+        patterns: Mapping[str, str | re.Pattern] | None = None,
     ) -> None:
         self.catalog = catalog
         self.mapping_rules = mapping_rules
@@ -251,7 +276,7 @@ def release_gate(
     mapping_rules: Sequence[MappingRule],
     *,
     forbidden_terms: Sequence[str] = (),
-    patterns: Mapping[str, str] | None = None,
+    patterns: Mapping[str, str | re.Pattern] | None = None,
 ) -> GateReport:
     """Run the privacy, parseability, and mapping gates over a corpus directory."""
     gate = ReleaseGate(catalog, mapping_rules, forbidden_terms=forbidden_terms, patterns=patterns)

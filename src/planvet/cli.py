@@ -11,6 +11,7 @@ Exit codes: 0 clean, 3 hard violations (or failed gates) found, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .audit import activation_check, build_manifest, load_gate_inputs, release_gate
 from .catalog import load_catalog, load_policy
-from .corpus import baseline_plan, load_corpus
+from .corpus import baseline_plan, load_corpus, load_package
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
 from .errors import PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
@@ -61,7 +62,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     proposal_path = _existing(args.proposal, "ProposalNotFound")
 
     policy = load_policy(catalog_path, policy_path)
-    incident = load_corpus(corpus_dir, policy.catalog).get(args.incident_id)
+    incident = load_package(corpus_dir, args.incident_id, policy.catalog)
     plan = parse_proposal(
         proposal_path.read_bytes(),
         policy.catalog,
@@ -279,6 +280,7 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--forbidden-terms")
 
 
+@functools.cache  # built at the first main(); parse_args returns a fresh Namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planvet",

@@ -285,6 +285,19 @@ class PackageFile:
     defect: ParseError | SchemaError | None = None  # message starts with the file name
 
 
+def read_package(path: Path) -> PackageFile:
+    """Read one package file once and check it against the schema."""
+    data = path.read_bytes()
+    digest = sha256_bytes(data)
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an oversized number
+        return PackageFile(path.name, digest, defect=ParseError(f"{path.name}: invalid JSON: {exc}"))
+    found = schema_defect(document)
+    defect = SchemaError(f"{path.name}: {found}") if found else None
+    return PackageFile(path.name, digest, document, defect)
+
+
 def read_packages(directory: Path | str) -> Iterator[PackageFile]:
     """Read every ``*.json`` file once, in filename order, and check it against the schema.
 
@@ -292,16 +305,22 @@ def read_packages(directory: Path | str) -> Iterator[PackageFile]:
     next is parsed.
     """
     for path in sorted(Path(directory).glob("*.json"), key=lambda p: p.name):
-        data = path.read_bytes()
-        digest = sha256_bytes(data)
-        try:
-            document = json.loads(data.decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, not JSON, or an oversized number
-            yield PackageFile(path.name, digest, defect=ParseError(f"{path.name}: invalid JSON: {exc}"))
-            continue
-        found = schema_defect(document)
-        defect = SchemaError(f"{path.name}: {found}") if found else None
-        yield PackageFile(path.name, digest, document, defect)
+        yield read_package(path)
+
+
+def load_package(directory: Path | str, incident_id: str, catalog: ActionCatalog) -> IncidentPackage:
+    """Load the one package ``<directory>/<incident_id>.json``, checked as ``load_corpus`` checks it.
+
+    Filenames equal incident ids, so this is the package that
+    ``load_corpus(directory, catalog).get(incident_id)`` returns when the
+    whole corpus is sound; no other file is read. An id that is not a
+    plain file name in ``directory`` (a path separator, an absolute path)
+    or that names no file raises ``IncidentNotFound``.
+    """
+    path = Path(directory) / f"{incident_id}.json"
+    if path.name != f"{incident_id}.json" or not path.is_file():
+        raise IncidentNotFound(incident_id)
+    return _build_package(read_package(path), catalog)
 
 
 def load_corpus(

@@ -15,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
@@ -56,6 +56,15 @@ REQUIRED_PATHS = (
 )
 
 
+def _is_pair(value: object, item_ok: Callable[[object], bool]) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(item_ok, value))
+
+
+def _is_cell(value: object) -> bool:
+    """A ``[model, arm]`` pair of strings."""
+    return _is_pair(value, lambda name: isinstance(name, str))
+
+
 @dataclass
 class RunConfig:
     corpus_dir: Path
@@ -92,8 +101,9 @@ class RunConfig:
 
         ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
         every required path that is absent, and ``ConfigInvalid`` for an
-        unknown approval mode, a confidence that is not a number in (0, 1)
-        or a ``skip_gates`` that is not a boolean.
+        unknown approval mode, a confidence that is not a number in (0, 1),
+        a ``skip_gates`` that is not a boolean or a ``contrast_family`` that
+        is not a list of pairs of ``[model, arm]`` string pairs.
         """
         obj = {k: v for k, v in obj.items() if v is not None}
         missing = [k for k in REQUIRED_PATHS if k not in obj]
@@ -118,9 +128,11 @@ class RunConfig:
             value = Path(value)
             return value if value.is_absolute() else base / value
 
-        family = tuple(
-            ((a[0], a[1]), (b[0], b[1])) for a, b in obj.get("contrast_family", ())
-        )
+        family = obj.get("contrast_family", ())
+        if not isinstance(family, (list, tuple)) or not all(_is_pair(e, _is_cell) for e in family):
+            raise ConfigInvalid(
+                f"contrast_family must be a list of [[model, arm], [model, arm]] pairs, got {family!r}"
+            )
         return cls(
             corpus_dir=resolve("corpus_dir"),
             catalog_path=resolve("catalog_path"),
@@ -130,7 +142,7 @@ class RunConfig:
             output_dir=resolve("output_dir"),
             approval_mode=approval_mode,
             confidence=float(confidence),
-            contrast_family=family,
+            contrast_family=tuple((tuple(a), tuple(b)) for a, b in family),
             rerun_label=obj.get("rerun_label", "r1"),
             skip_gates=skip_gates,
             privacy_patterns_path=resolve("privacy_patterns_path"),

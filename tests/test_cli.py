@@ -92,6 +92,54 @@ class TestVerify:
         assert err.startswith("SchemaError: inc_0007.json: ")
         assert error in err
 
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_incident_id_outside_corpus_dir_exits_1_named(self, bundle, proposal_file, tmp_path, capsys, escape):
+        # A valid package sits at the outside path; verify must still not read it.
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        shutil.copy(bundle / "corpus" / "inc_0007.json", outside)
+        incident_id = "../../outside/inc_0007" if escape == "relative" else str(outside / "inc_0007")
+        corpus = tmp_path / "a" / "corpus"
+        corpus.mkdir(parents=True)
+        args = _verify_args(bundle, proposal_file)
+        args[args.index("--corpus-dir") + 1] = str(corpus)
+        args[args.index("--incident-id") + 1] = incident_id
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"IncidentNotFound: {incident_id}\n"
+
+    def test_defective_sibling_package_does_not_change_verify(self, bundle, proposal_file, tmp_path, capsys):
+        assert main(_verify_args(bundle, proposal_file)) == 3
+        expected = capsys.readouterr().out
+        corpus = tmp_path / "corpus"
+        shutil.copytree(bundle / "corpus", corpus)
+        sibling = corpus / "inc_0008.json"
+        sibling.write_bytes(sibling.read_bytes()[:40])
+        args = _verify_args(bundle, proposal_file)
+        args[args.index("--corpus-dir") + 1] = str(corpus)
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
+        assert "violation: R2/order_violation" in expected
+
+    def test_repeated_calls_in_one_process_match_separate_processes(self, bundle, proposal_file, tmp_path, capsys):
+        first = _verify_args(bundle, proposal_file, approval_mode="defer_to_human_approval", model="m")
+        second = _verify_args(bundle, proposal_file)
+        in_process = []
+        for args, output in ((first, tmp_path / "in_process.json"), (second, None)):
+            argv = args + ["--output", str(output)] if output else args
+            in_process.append((main(argv), capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=str(Path(planvet.__file__).parents[1]))
+        separate = []
+        for args, output in ((first, tmp_path / "separate.json"), (second, None)):
+            argv = args + ["--output", str(output)] if output else args
+            done = subprocess.run([sys.executable, "-m", "planvet", *argv], env=env, capture_output=True, text=True)
+            separate.append((done.returncode, done.stdout))
+        assert in_process == separate
+        assert in_process[0][1] != in_process[1][1]  # the flags did change the first answer
+        assert (tmp_path / "in_process.json").read_bytes() == (tmp_path / "separate.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == ["in_process.json", "proposal.json", "separate.json"]
+
     def test_non_utf8_proposal_exits_1_named(self, bundle, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"recommended_actions": ["restore_host"], "note": "caf\u00e9"}'.encode("latin-1"))
@@ -229,6 +277,8 @@ class TestAuditAndMap:
             ({"confidence": "high"}, "confidence must be a number in (0, 1), got 'high'"),
             ({"confidence": 1}, "confidence must be a number in (0, 1), got 1"),
             ({"skip_gates": "false"}, "skip_gates must be true or false, got 'false'"),
+            ({"contrast_family": [["a"]]},
+             "contrast_family must be a list of [[model, arm], [model, arm]] pairs, got [['a']]"),
         ],
     )
     def test_bad_config_value_exits_1_before_any_output(self, bundle, tmp_path, capsys, fields, message):
@@ -244,6 +294,29 @@ class TestAuditAndMap:
                      "--privacy-patterns", str(patterns)])
         assert code == 1
         assert capsys.readouterr().err.startswith("ParseError: patterns.json: not valid JSON")
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (["x"], "privacy patterns must be a JSON object of kind -> regular expression"),
+            ({"n": 5}, "pattern for kind 'n' must be a string, got 5"),
+            ({"bad": "("}, "pattern for kind 'bad' does not compile: missing ), unterminated subpattern"),
+        ],
+        ids=["not-an-object", "non-string-pattern", "pattern-does-not-compile"],
+    )
+    def test_bad_privacy_patterns_exit_1_named(self, bundle, tmp_path, capsys, document, message):
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text(json.dumps(document))
+        code = main(["evaluate", "--config", str(self._config(bundle, tmp_path)),
+                     "--privacy-patterns", str(patterns)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ConfigInvalid: patterns.json: {message}")
+        assert not (tmp_path / "out").exists()
+        code = main(["audit", "--corpus-dir", str(bundle / "corpus"), "--catalog", str(bundle / "catalog.json"),
+                     "--mapping-rules", str(bundle / "mapping_rules.json"), "--privacy-patterns", str(patterns),
+                     "--output-dir", str(tmp_path / "audit")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ConfigInvalid: patterns.json: {message}")
 
     def test_unpaired_contrast_cell_exits_1_before_any_output(self, bundle, tmp_path, capsys):
         proposals = tmp_path / "proposals"

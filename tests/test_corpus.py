@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from planvet.corpus import baseline_plan, load_corpus
-from planvet.errors import ParseError, SchemaError
+from planvet.corpus import baseline_plan, load_corpus, load_package
+from planvet.errors import IncidentNotFound, ParseError, SchemaError
 from planvet.fixtures import NO_ISOLATE_EVIDENCE, incident_id, incident_obj
 
 
@@ -164,3 +164,57 @@ class TestCorpusIndex:
         first = corpus.get("inc_0001")
         second = replace(first, severity="critical")
         assert Corpus(packages=(first, second)).get("inc_0001") is first
+
+
+class TestLoadPackage:
+    def test_equals_the_corpus_package_for_every_incident(self, bundle, catalog, corpus):
+        assert len(corpus) == 200
+        for pkg in corpus:
+            assert load_package(bundle / "corpus", pkg.incident_id, catalog) == pkg
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            (lambda o: o["telemetry"].append("process_start"), "inc_0001.json: telemetry/2: expected an object"),
+            (lambda o: o.update(phase_id="Open"), "phase gate"),
+            (lambda o: o["mapped_human_actions"].append("made_up_action"),
+             "inc_0001: mapped action 'made_up_action' does not resolve"),
+            (lambda o: o["extracted_tasks"][1].update(order_index=0), "strictly increasing"),
+            (lambda o: o.update(incident_id="inc_0002"), "filename must be"),
+        ],
+    )
+    def test_defects_raise_as_in_load_corpus(self, tmp_path, catalog, defect, match):
+        obj = incident_obj(1)
+        defect(obj)
+        directory = tmp_path / "c"
+        directory.mkdir()
+        (directory / "inc_0001.json").write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=match) as from_corpus:
+            load_corpus(directory, catalog)
+        with pytest.raises(SchemaError, match=match) as from_package:
+            load_package(directory, "inc_0001", catalog)
+        assert str(from_package.value) == str(from_corpus.value)
+
+    def test_invalid_json_is_a_parse_error(self, tmp_path, catalog):
+        (tmp_path / "inc_0001.json").write_text("{nope")
+        with pytest.raises(ParseError, match="inc_0001.json: invalid JSON"):
+            load_package(tmp_path, "inc_0001", catalog)
+
+    def test_other_packages_are_not_read(self, tmp_path, catalog):
+        directory = _write_corpus(tmp_path / "c", incident_obj(1))
+        (directory / "inc_0002.json").write_text("{nope")
+        assert load_package(directory, "inc_0001", catalog).incident_id == "inc_0001"
+
+    def test_absent_file_or_directory_is_not_found(self, tmp_path, catalog):
+        directory = _write_corpus(tmp_path / "c", incident_obj(1))
+        (directory / "inc_0002.json").mkdir()
+        for missing in ("inc_0002", "inc_0003", ""):
+            with pytest.raises(IncidentNotFound):
+                load_package(directory, missing, catalog)
+
+    def test_ids_reaching_outside_the_directory_are_not_found(self, tmp_path, catalog):
+        directory = _write_corpus(tmp_path / "c", incident_obj(2))
+        outside = _write_corpus(tmp_path / "outside", incident_obj(1))
+        for escape in ("../outside/inc_0001", str(outside / "inc_0001"), "./inc_0002"):
+            with pytest.raises(IncidentNotFound):
+                load_package(directory, escape, catalog)
