@@ -7,10 +7,12 @@ of the release boundary and are out of scope here.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, repeat
 from pathlib import Path
 
 from . import __version__ as _tool_version
@@ -107,13 +109,30 @@ def privacy_scan(
 
     ``documents`` is an iterable of (document_ref, parsed JSON object).
     Findings, not errors: an empty list means the scan passed.
+
+    Each string value is matched on its own, so ``^`` and ``$`` anchor to
+    that value. Per document, one ``search`` sweep per pattern and one
+    substring sweep per term mark the values that hit; only those are
+    scanned for findings. A value has findings exactly when it is marked.
     """
     if patterns is None:
         patterns = DEFAULT_PRIVACY_PATTERNS
     compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
+    needles = [term.lower() for term in forbidden_terms if term]
     findings: list[PrivacyFinding] = []
     for document_ref, obj in documents:
-        for path, text in _iter_strings(obj, document_ref):
+        leaves = list(_iter_strings(obj, document_ref))
+        texts = [text for _, text in leaves]
+        indices = range(len(texts))
+        marked: set[int] = set()
+        for _, regex in compiled:
+            marked.update(compress(indices, map(regex.search, texts)))
+        if needles:
+            lowered_texts = [text.lower() for text in texts]
+            for needle in needles:
+                marked.update(compress(indices, map(operator.contains, lowered_texts, repeat(needle))))
+        for index in sorted(marked):
+            path, text = leaves[index]
             for kind, regex in compiled:
                 for match in regex.finditer(text):
                     findings.append(

@@ -22,9 +22,9 @@ from .audit import activation_check, build_manifest, load_gate_inputs, release_g
 from .catalog import load_catalog, load_policy
 from .corpus import baseline_plan, load_corpus, load_package
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
-from .errors import PlanvetError
+from .errors import ConfigInvalid, PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
-from .pipeline import RunConfig, compute_contrasts, evaluate
+from .pipeline import RunConfig, compute_contrasts, contrast_family_pairs, evaluate
 from .plans import load_proposals, parse_proposal
 from .report import write_report
 from .util import read_json, record_json, write_json
@@ -179,7 +179,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_contrast(args: argparse.Namespace) -> int:
     metrics_path = _existing(args.metrics, "MetricsNotFound")
-    family = [(tuple(a), tuple(b)) for a, b in read_json(_existing(args.family, "FamilyNotFound"))]
+    family_path = _existing(args.family, "FamilyNotFound")
+    family = contrast_family_pairs(read_json(family_path), f"{family_path.name}: contrast family")
     outcomes: dict[tuple[str, str], dict[str, bool]] = {}
     with open(metrics_path, encoding="utf-8") as fh:
         for line in fh:
@@ -209,6 +210,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _probe_plans(path: Path) -> list[dict]:
+    """The ``plans`` of a probe document, each an object with a string ``incident_id``.
+
+    Raises ``ConfigInvalid`` naming the file for any other shape.
+    """
+    document = read_json(path)
+    if not isinstance(document, dict):
+        raise ConfigInvalid(f"{path.name}: probe document must be a JSON object with a 'plans' list")
+    plans = document.get("plans", [])
+    if not isinstance(plans, list):
+        raise ConfigInvalid(f"{path.name}: 'plans' must be a list, got {plans!r}")
+    for idx, plan in enumerate(plans):
+        if not isinstance(plan, dict):
+            raise ConfigInvalid(f"{path.name}: plans[{idx}] must be a JSON object, got {plan!r}")
+        if not isinstance(plan.get("incident_id"), str):
+            raise ConfigInvalid(f"{path.name}: plans[{idx}] needs a string 'incident_id'")
+    return plans
+
+
 def cmd_activation_check(args: argparse.Namespace) -> int:
     policy = load_policy(
         _existing(args.catalog, "CatalogNotFound"),
@@ -227,8 +247,7 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
     if sources in ("probes", "all"):
         if not args.probes:
             raise NamedCliError("ProbesRequired", "plan source includes probes")
-        probe_doc = read_json(_existing(args.probes, "ProbesNotFound"))
-        for idx, probe in enumerate(probe_doc.get("plans", ())):
+        for probe in _probe_plans(_existing(args.probes, "ProbesNotFound")):
             plans.append(
                 parse_proposal(
                     probe,

@@ -24,6 +24,11 @@ class MappingRule:
     action_id: str
     keyword_sets: tuple[tuple[str, ...], ...]  # each inner tuple is conjunctive
     priority: int = 0
+    _lowered_sets: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lowered = tuple(tuple(keyword.lower() for keyword in ks) for ks in self.keyword_sets)
+        object.__setattr__(self, "_lowered_sets", lowered)
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,6 @@ class MappingResult:
     unmatched: tuple[str, ...]
     ambiguous: tuple[tuple[str, tuple[str, ...]], ...]  # (task_id, candidates)
     support: MappingSupportManifest
-
-    def mapped_actions(self) -> tuple[str, ...]:
-        return tuple(m.action_id for m in self.mapped)
 
 
 @dataclass
@@ -133,11 +135,11 @@ def map_tasks(
 
 def _matching_pairs(text: str, rules: Sequence[MappingRule]) -> list[tuple[str, int, int]]:
     """All (action, set size, priority) whose keyword set fully hits the text."""
-    lowered = text.lower()
+    contains = text.lower().__contains__
     pairs = []
     for rule in rules:
-        for keyword_set in rule.keyword_sets:
-            if all(keyword.lower() in lowered for keyword in keyword_set):
+        for keyword_set in rule._lowered_sets:
+            if all(map(contains, keyword_set)):
                 pairs.append((rule.action_id, len(keyword_set), rule.priority))
     return pairs
 

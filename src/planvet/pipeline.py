@@ -65,6 +65,13 @@ def _is_cell(value: object) -> bool:
     return _is_pair(value, lambda name: isinstance(name, str))
 
 
+def contrast_family_pairs(value: object, what: str = "contrast_family") -> tuple[tuple[CellKey, CellKey], ...]:
+    """The contrast family as a tuple of cell pairs; ``ConfigInvalid`` naming ``what`` otherwise."""
+    if not isinstance(value, (list, tuple)) or not all(_is_pair(e, _is_cell) for e in value):
+        raise ConfigInvalid(f"{what} must be a list of [[model, arm], [model, arm]] pairs, got {value!r}")
+    return tuple((tuple(a), tuple(b)) for a, b in value)
+
+
 @dataclass
 class RunConfig:
     corpus_dir: Path
@@ -128,11 +135,7 @@ class RunConfig:
             value = Path(value)
             return value if value.is_absolute() else base / value
 
-        family = obj.get("contrast_family", ())
-        if not isinstance(family, (list, tuple)) or not all(_is_pair(e, _is_cell) for e in family):
-            raise ConfigInvalid(
-                f"contrast_family must be a list of [[model, arm], [model, arm]] pairs, got {family!r}"
-            )
+        contrast_family = contrast_family_pairs(obj.get("contrast_family", ()))
         return cls(
             corpus_dir=resolve("corpus_dir"),
             catalog_path=resolve("catalog_path"),
@@ -142,7 +145,7 @@ class RunConfig:
             output_dir=resolve("output_dir"),
             approval_mode=approval_mode,
             confidence=float(confidence),
-            contrast_family=tuple((tuple(a), tuple(b)) for a, b in family),
+            contrast_family=contrast_family,
             rerun_label=obj.get("rerun_label", "r1"),
             skip_gates=skip_gates,
             privacy_patterns_path=resolve("privacy_patterns_path"),

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planvet.audit import (
+    DEFAULT_PRIVACY_PATTERNS,
+    PrivacyFinding,
+    _iter_strings,
     build_manifest,
     mask_excerpt,
     privacy_scan,
@@ -58,6 +65,118 @@ class TestPrivacyScan:
         findings = privacy_scan([("p", doc)])
         assert [f.kind for f in findings] == ["ipv4"]
         assert findings[0].document_ref == "p.telemetry[0].command"
+
+
+def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
+    """The scan as first written: every pattern and term over every string leaf."""
+    if patterns is None:
+        patterns = DEFAULT_PRIVACY_PATTERNS
+    compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
+    findings = []
+    for document_ref, obj in documents:
+        for path, text in _iter_strings(obj, document_ref):
+            for kind, regex in compiled:
+                for match in regex.finditer(text):
+                    findings.append(
+                        PrivacyFinding(
+                            document_ref=path,
+                            kind=kind,
+                            excerpt=mask_excerpt(match.group(0)),
+                            position=match.start(),
+                        )
+                    )
+            lowered = text.lower()
+            for term in forbidden_terms:
+                start = 0
+                needle = term.lower()
+                while needle:
+                    found = lowered.find(needle, start)
+                    if found < 0:
+                        break
+                    findings.append(
+                        PrivacyFinding(
+                            document_ref=path,
+                            kind="forbidden_term",
+                            excerpt=mask_excerpt(text[found : found + len(term)]),
+                            position=found,
+                        )
+                    )
+                    start = found + 1
+    findings.sort(key=lambda f: (f.document_ref, f.position, f.kind))
+    return findings
+
+
+# Fragments that hit the default patterns, case-folding edge cases, and
+# words that sit next to (or inside) one another for the anchored patterns.
+FRAGMENTS = [
+    "a@b.example", "ops@corp.com", "10.1.2.3", "fe80:0:0:0:0:1", "+14155550100", "555-123-4567",
+    "db1.corp.internal", "user_1234", "uid-9876", "İstanbul", "i̇", "STRASSE", "straße", "ß", "ss",
+    "ΣΙΣΥΦΟΣ", "σίσυφος", "ς", "x", "xx", "ab", "abc", "ba", "a", "b", " ", ".", "",
+]
+TEXT = st.lists(st.sampled_from(FRAGMENTS) | st.text("abxsßİΣσς .@-1", max_size=6), max_size=4).map("".join)
+KEYS = st.sampled_from(["a", "b", "a.b", "x", "x[0]", "[0]", "", "İ"])
+LEAF = TEXT | st.integers() | st.none() | st.booleans() | st.floats(allow_nan=False)
+TREE = st.recursive(
+    LEAF,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=4)
+        | st.dictionaries(KEYS, inner, max_size=3).map(MappingProxyType)  # a Mapping that is not a dict
+    ),
+    max_leaves=12,
+)
+# A dict holding both the key "a.b" and the path a -> b gives two leaves one location.
+COLLIDING = st.tuples(TEXT, TEXT, TEXT).map(lambda t: {"a.b": t[0], "a": {"b": t[1]}, "x[0]": t[2], "x": [t[0]]})
+DOCUMENTS = st.lists(st.tuples(st.sampled_from(["d", "d.a", "e"]), TREE | COLLIDING), min_size=1, max_size=4)
+PATTERNS = st.dictionaries(
+    st.sampled_from(["email", "ipv4", "anchor", "edge", "look", "empty", "forbidden_term", "z"]),
+    st.sampled_from([
+        r"^a", r"b$", r"\Aab", r"s\Z", r"\bx\b", r"\Bs", r"(?<=a)b", r"a(?!b)", r"(?<!x)x",
+        r"x*", r"ß|ss", r"(?i)σ", r"İ", *DEFAULT_PRIVACY_PATTERNS.values(),
+    ]),
+    max_size=4,
+) | st.none()
+TERMS = st.lists(st.sampled_from(["a", "ab", "abc", "b", "x", "xx", "", "İ", "i̇", "ß", "ss", "SS", "Σ", "σ", "ς"]),
+                 max_size=4)
+
+
+class TestPrivacyScanDifferential:
+    """The marked-leaf scan gives exactly the findings of a scan over every leaf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS, TERMS, PATTERNS)
+    def test_same_findings_as_every_leaf_scan(self, documents, terms, patterns):
+        expected = reference_privacy_scan(documents, terms, patterns)
+        assume(expected)
+        assert privacy_scan(documents, terms, patterns) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS, TERMS, PATTERNS)
+    def test_compiled_patterns_give_the_same_findings(self, documents, terms, patterns):
+        compiled = None if patterns is None else {k: re.compile(v) for k, v in patterns.items()}
+        assert privacy_scan(documents, terms, compiled) == reference_privacy_scan(documents, terms, patterns)
+
+    def test_empty_match_pattern_marks_every_leaf(self):
+        docs = [("d", {"a.b": "", "a": {"b": "xx"}, "n": 3, "l": ("x", None)})]
+        findings = privacy_scan(docs, (), {"star": "x*"})
+        assert findings == reference_privacy_scan(docs, (), {"star": "x*"})
+        assert {f.document_ref for f in findings} == {"d.a.b", "d.l[0]"}
+
+    def test_anchors_bind_to_each_value(self):
+        docs = [("d", ["ab", "ba", "b a"])]
+        patterns = {"start": r"^a", "end": r"a$"}
+        findings = privacy_scan(docs, (), patterns)
+        assert findings == reference_privacy_scan(docs, (), patterns)
+        assert [(f.document_ref, f.kind) for f in findings] == [
+            ("d[0]", "start"), ("d[1]", "end"), ("d[2]", "end"),
+        ]
+
+    def test_case_folded_terms_keep_their_positions(self):
+        docs = [("d", {"k": "İx Straße SS ΣΑΣ"})]
+        terms = ["i̇", "ss", "ß", "σ", "s"]
+        assert privacy_scan(docs, terms) == reference_privacy_scan(docs, terms)
+        assert privacy_scan(docs, terms)
 
 
 class TestReleaseGate:

@@ -374,6 +374,22 @@ class TestContrastAndReport:
         assert code == 1
         assert capsys.readouterr().err.startswith("ParseError: family.json: not valid JSON")
 
+    def test_malformed_family_exits_1_named(self, official_eval, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([["a"]]))
+        code = main([
+            "contrast",
+            "--metrics", str(official_eval.config.output_dir / "metrics_runs.jsonl"),
+            "--family", str(family),
+            "--output", str(tmp_path / "contrasts.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "ConfigInvalid: family.json: contrast family must be a list of "
+            "[[model, arm], [model, arm]] pairs, got [['a']]"
+        )
+        assert not (tmp_path / "contrasts.json").exists()
+
     def test_report_renders_tables(self, official_eval, defer_eval, capsys):
         out_dir = official_eval.config.output_dir
         code = main([
@@ -419,6 +435,35 @@ def test_truncated_probes_file_exits_1_named(bundle, tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError: probes.json: not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (["x"], "probe document must be a JSON object with a 'plans' list"),
+        ({"plans": {"incident_id": "inc_0001"}}, "'plans' must be a list, got {'incident_id': 'inc_0001'}"),
+        ({"plans": ["x"]}, "plans[0] must be a JSON object, got 'x'"),
+        ({"plans": [{"recommended_actions": []}]}, "plans[0] needs a string 'incident_id'"),
+        ({"plans": [{"incident_id": "inc_0001", "recommended_actions": []}, {"incident_id": 1}]},
+         "plans[1] needs a string 'incident_id'"),
+    ],
+    ids=["not-an-object", "plans-not-a-list", "plan-not-an-object", "no-incident-id", "non-string-incident-id"],
+)
+def test_malformed_probes_exit_1_named(bundle, tmp_path, capsys, document, message):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps(document))
+    code = main([
+        "activation-check",
+        "--corpus-dir", str(bundle / "corpus"),
+        "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+        "--policy", str(bundle / "richer" / "candidate_policy.json"),
+        "--plan-source", "probes",
+        "--probes", str(probes),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"ConfigInvalid: probes.json: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_jsonschema_out():
