@@ -19,7 +19,7 @@ from . import __version__ as _tool_version
 from .catalog import ActionCatalog, ValidatedPolicy
 from .corpus import PROXY_APPROVAL_SOURCE, Corpus, PackageFile, TaskRecord, read_packages
 from .engine import MODE_DEFER, MODE_REMOVE, enforce, order_chain_depth
-from .errors import ConfigInvalid, IoError
+from .errors import ConfigInvalid, IoError, ParseError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
 from .util import canonical_json, read_json, record_json, sha256_file, sha256_text
@@ -35,8 +35,6 @@ DEFAULT_PRIVACY_PATTERNS: dict[str, str] = {
     "hostname": r"\b[a-z0-9][a-z0-9-]*(?:\.[a-z0-9][a-z0-9-]*)+\.(?:com|net|org|io|corp|local|internal|example|lan)\b",
     "user_id": r"\b(?:uid|user)[-_]\d{3,}\b",
 }
-
-PRIVACY_KINDS = ("email", "ipv4", "ipv6", "phone", "hostname", "user_id", "forbidden_term")
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,8 @@ def privacy_scan(
     that value. Per document, one ``search`` sweep per pattern and one
     substring sweep per term mark the values that hit; only those are
     scanned for findings. A value has findings exactly when it is marked.
+    Forbidden terms match case-insensitively; their positions and excerpts
+    refer to the original value, also where lowering changes its length.
     """
     if patterns is None:
         patterns = DEFAULT_PRIVACY_PATTERNS
@@ -144,6 +144,9 @@ def privacy_scan(
                         )
                     )
             lowered = text.lower()
+            # Lowering can lengthen a value ('İ' becomes two characters): then
+            # map each offset in the lowered text to the character it came from.
+            origin = None if len(lowered) == len(text) else [i for i, ch in enumerate(text) for _ in ch.lower()]
             for term in forbidden_terms:
                 start = 0
                 needle = term.lower()
@@ -151,12 +154,13 @@ def privacy_scan(
                     found = lowered.find(needle, start)
                     if found < 0:
                         break
+                    position = found if origin is None else origin[found]
                     findings.append(
                         PrivacyFinding(
                             document_ref=path,
                             kind="forbidden_term",
-                            excerpt=mask_excerpt(text[found : found + len(term)]),
-                            position=found,
+                            excerpt=mask_excerpt(text[position : position + len(term)]),
+                            position=position,
                         )
                     )
                     start = found + 1
@@ -176,12 +180,16 @@ def load_gate_inputs(
     The pattern file is a JSON object of kind -> regular expression; each
     pattern is compiled here, once. Raises ``ConfigInvalid`` naming the
     file (and the kind) for any other document or a pattern that does not
-    compile.
+    compile, and ``ParseError`` naming the term file when it is not UTF-8.
     """
     patterns = _compile_patterns(Path(patterns_path)) if patterns_path else None
     terms: tuple[str, ...] = ()
     if terms_path:
-        text = Path(terms_path).read_text(encoding="utf-8")
+        terms_path = Path(terms_path)
+        try:
+            text = terms_path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{terms_path.name}: not valid UTF-8: {exc}") from None
         terms = tuple(line.strip() for line in text.splitlines() if line.strip())
     return patterns, terms
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     SelfDependency,
     UnknownActionReference,
 )
-from .util import canonical_json, read_json_document
+from .util import canonical_json, json_field, read_json_document
 
 # Rule families
 MANDATORY = "mandatory"
@@ -197,12 +198,18 @@ def validate_policy(
                 )
             edges.append((prereq, rule.target_action))
 
-    cycle = _find_cycle(edges)
-    if cycle:
-        raise CyclicPolicy(
-            "prerequisite graph contains a cycle: " + " -> ".join(cycle),
-            cycle=tuple(cycle),
-        )
+    # Nodes in sorted order, then the edges in declaration order: the search
+    # walks the graph in that order, so the cycle it names is deterministic.
+    sorter = TopologicalSorter()
+    for node in sorted({node for edge in edges for node in edge}):
+        sorter.add(node)
+    for prereq, target in edges:
+        sorter.add(target, prereq)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        cycle = tuple(exc.args[1])  # in edge order, first node repeated at the end
+        raise CyclicPolicy("prerequisite graph contains a cycle: " + " -> ".join(cycle), cycle=cycle) from None
 
     return ValidatedPolicy(
         catalog=catalog,
@@ -251,39 +258,6 @@ def _check_rule_shape(rule: PolicyRule) -> None:
             )
 
 
-def _find_cycle(edges: Iterable[tuple[str, str]]) -> list[str]:
-    """Return one cycle as a node path (first node repeated), or []."""
-    adjacency: dict[str, list[str]] = {}
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str]:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in adjacency.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                start = stack.index(nxt)
-                return stack[start:] + [nxt]
-            if state == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return []
-
-    for node in sorted(adjacency):
-        if color.get(node, WHITE) == WHITE:
-            found = visit(node)
-            if found:
-                return found
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Scope matching
 # ---------------------------------------------------------------------------
@@ -312,67 +286,77 @@ def scope_matches(rule: PolicyRule, telemetry: Iterable) -> bool:
 # Document loading
 # ---------------------------------------------------------------------------
 
+# Required fields and their JSON types.
+_ENTRY_FIELDS = (
+    ("action_id", str), ("display_name", str), ("approval_gate", bool), ("reversible", bool),
+    ("baseline_support", bool),
+)
+_RULE_FIELDS = (
+    ("rule_id", str), ("family", str), ("target_action", str), ("severity", str), ("repair_operator", str),
+)
+
+
 def load_catalog(path: Path | str) -> ActionCatalog:
-    """Read ``catalog.json`` (array of action entries); records the file digest."""
+    """Read ``catalog.json`` (array of action entries); records the file digest.
+
+    Raises ``CatalogError`` naming the file and the entry for any entry that
+    is not an object with string ids and boolean flags.
+    """
     path = Path(path)
     raw, digest = read_json_document(path, CatalogError)
     if not isinstance(raw, list):
         raise CatalogError(f"{path.name}: expected a JSON array of action entries")
     entries = []
     for idx, obj in enumerate(raw):
-        try:
-            entries.append(
-                ActionEntry(
-                    action_id=obj["action_id"],
-                    display_name=obj["display_name"],
-                    approval_gate=_require_bool(obj, "approval_gate", idx),
-                    reversible=_require_bool(obj, "reversible", idx),
-                    baseline_support=_require_bool(obj, "baseline_support", idx),
-                )
-            )
-        except KeyError as exc:
-            raise CatalogError(f"{path.name}: entry {idx} missing field {exc}") from exc
+        where = f"{path.name}: entry {idx}"
+        if not isinstance(obj, dict):
+            raise CatalogError(f"{where} must be a JSON object, got {obj!r}")
+        # No defaulting: gates and reversibility must be explicit.
+        fields = {key: json_field(obj, key, kind, where, CatalogError) for key, kind in _ENTRY_FIELDS}
+        entries.append(ActionEntry(**fields))
     return ActionCatalog(entries=tuple(entries), source_sha256=digest)
 
 
-def _require_bool(obj: dict, key: str, idx: int):
-    value = obj[key]  # no defaulting: gates and reversibility must be explicit
-    if not isinstance(value, bool):
-        raise CatalogError(f"entry {idx}: field {key!r} must be a boolean")
-    return value
-
-
 def load_policy_rules(path: Path | str) -> tuple[tuple[PolicyRule, ...], str]:
-    """Read ``policy.json``; returns the rules plus the raw document digest."""
+    """Read ``policy.json``; returns the rules plus the raw document digest.
+
+    Raises ``PolicyValidationError`` naming the file and the rule for any
+    rule that is not an object of string fields, with an optional ``scope``
+    object whose ``command_contains`` is a list of strings.
+    """
     path = Path(path)
     raw, digest = read_json_document(path, PolicyValidationError)
     if not isinstance(raw, list):
         raise PolicyValidationError(f"{path.name}: expected a JSON array of rules")
     rules = []
     for idx, obj in enumerate(raw):
-        scope = None
-        scope_obj = obj.get("scope")
-        if scope_obj is not None:
-            scope = ScopePredicate(
-                event_type_contains=scope_obj.get("event_type_contains", ""),
-                command_contains=tuple(scope_obj.get("command_contains", ())),
+        where = f"{path.name}: rule {idx}"
+        if not isinstance(obj, dict):
+            raise PolicyValidationError(f"{where} must be a JSON object, got {obj!r}")
+        scope = json_field(obj, "scope", dict, where, PolicyValidationError, default=None)
+        if scope is not None:
+            scope = _scope_predicate(scope, f"{where}: scope")
+        rules.append(
+            PolicyRule(
+                **{key: json_field(obj, key, kind, where, PolicyValidationError) for key, kind in _RULE_FIELDS},
+                rationale=json_field(obj, "rationale", str, where, PolicyValidationError, default=""),
+                prerequisite_action=json_field(obj, "prerequisite_action", str, where, PolicyValidationError, None),
+                scope=scope,
             )
-        try:
-            rules.append(
-                PolicyRule(
-                    rule_id=obj["rule_id"],
-                    family=obj["family"],
-                    target_action=obj["target_action"],
-                    severity=obj["severity"],
-                    repair_operator=obj["repair_operator"],
-                    rationale=obj.get("rationale", ""),
-                    prerequisite_action=obj.get("prerequisite_action"),
-                    scope=scope,
-                )
-            )
-        except KeyError as exc:
-            raise PolicyValidationError(f"{path.name}: rule {idx} missing field {exc}") from exc
+        )
     return tuple(rules), digest
+
+
+def _scope_predicate(obj: dict, where: str) -> ScopePredicate:
+    commands = json_field(obj, "command_contains", list, where, PolicyValidationError, default=())
+    if not all(isinstance(command, str) for command in commands):
+        raise PolicyValidationError(
+            f"{where}: field 'command_contains' must be a list of strings, got {commands!r}"
+        )
+    return ScopePredicate(
+        event_type_contains=json_field(obj, "event_type_contains", str, where, PolicyValidationError, default=""),
+        command_contains=tuple(commands),
+    )
 
 
 def load_policy(catalog_path: Path | str, policy_path: Path | str) -> ValidatedPolicy:

@@ -22,12 +22,12 @@ from .audit import activation_check, build_manifest, load_gate_inputs, release_g
 from .catalog import load_catalog, load_policy
 from .corpus import baseline_plan, load_corpus, load_package
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
-from .errors import ConfigInvalid, PlanvetError
+from .errors import ConfigInvalid, ParseError, PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
-from .pipeline import RunConfig, compute_contrasts, contrast_family_pairs, evaluate
-from .plans import load_proposals, parse_proposal
+from .pipeline import RunConfig, cell_outcomes, compute_contrasts, contrast_family_pairs, evaluate
+from .plans import SOURCE_FIXTURE, load_proposals, parse_proposal
 from .report import write_report
-from .util import read_json, record_json, write_json
+from .util import json_field, read_json, record_json, write_json
 
 log = logging.getLogger("planvet")
 
@@ -181,14 +181,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
     metrics_path = _existing(args.metrics, "MetricsNotFound")
     family_path = _existing(args.family, "FamilyNotFound")
     family = contrast_family_pairs(read_json(family_path), f"{family_path.name}: contrast family")
-    outcomes: dict[tuple[str, str], dict[str, bool]] = {}
-    with open(metrics_path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            if row["model_id"] == "":  # baselines sit outside the contrast family
-                continue
-            outcomes.setdefault((row["model_id"], row["arm"]), {})[row["incident_id"]] = row["violated"]
-    contrasts = compute_contrasts(outcomes, family)
+    contrasts = compute_contrasts(cell_outcomes(_llm_outcome_rows(metrics_path)), family)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_json(output, {"contrasts": [c.to_json_obj() for c in contrasts]})
@@ -198,6 +191,33 @@ def cmd_contrast(args: argparse.Namespace) -> int:
             f"p={contrast.mcnemar_p:.6f} holm={contrast.holm_p:.6f} h={contrast.cohens_h:+.4f}"
         )
     return EXIT_OK
+
+
+def _llm_outcome_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
+    """``(cell, incident_id, violated)`` for each LLM run line of ``metrics_runs.jsonl``.
+
+    Baseline lines (empty ``model_id``) sit outside the contrast family and
+    are skipped. Raises ``ParseError: <file>:<line>: …`` for a line that is
+    not JSON or lacks a string ``model_id``, ``arm`` or ``incident_id`` or a
+    boolean ``violated``.
+    """
+    rows = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            where = f"{path.name}:{number}"
+            try:
+                row = json.loads(line)
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+                raise ParseError(f"{where}: not valid JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise ParseError(f"{where}: a run line must be a JSON object")
+            model_id, arm, incident_id = (
+                json_field(row, key, str, where, ParseError) for key in ("model_id", "arm", "incident_id")
+            )
+            violated = json_field(row, "violated", bool, where, ParseError)
+            if model_id:
+                rows.append(((model_id, arm), incident_id, violated))
+    return rows
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -255,7 +275,7 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
                     incident_id=probe["incident_id"],
                     model_id="probe",
                     arm="none",
-                    source="fixture",
+                    source=SOURCE_FIXTURE,
                 )
             )
 

@@ -27,8 +27,6 @@ from .util import sha256_bytes
 # treats it as historical absence when suggesting candidate rules.
 PROXY_APPROVAL_SOURCE = "mapping_contract_proxy"
 
-COMPLETE_PHASE = "Complete"
-
 
 @dataclass(frozen=True)
 class TelemetryEvent:

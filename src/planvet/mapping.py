@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .catalog import ActionCatalog
-from .corpus import Corpus, TaskRecord
+from .corpus import TaskRecord
 from .errors import ParseError, UnknownActionInRule
-from .util import read_json_document, record_json
+from .util import json_field, read_json_document, record_json
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,24 @@ def map_tasks(
     catalog: ActionCatalog,
 ) -> MappingResult:
     """Map every task; mapped/unmatched/ambiguous partition the input."""
+    return _map_incidents([tasks], rules, catalog)
+
+
+def map_corpus(
+    corpus: Iterable,
+    rules: Sequence[MappingRule],
+    catalog: ActionCatalog,
+) -> MappingResult:
+    """Map every incident's extracted tasks into one corpus-level result."""
+    return _map_incidents((incident.extracted_tasks for incident in corpus), rules, catalog)
+
+
+def _map_incidents(
+    task_lists: Iterable[Sequence[TaskRecord]],
+    rules: Sequence[MappingRule],
+    catalog: ActionCatalog,
+) -> MappingResult:
+    """Map each incident's tasks in turn; ``cases`` counts, per action, the incidents with a match."""
     for rule in rules:
         if rule.action_id not in catalog:
             raise UnknownActionInRule(
@@ -99,30 +117,30 @@ def map_tasks(
     mapped: list[MappedTask] = []
     unmatched: list[str] = []
     ambiguous: list[tuple[str, tuple[str, ...]]] = []
-    support = MappingSupportManifest(total_tasks=len(tasks))
-    seen_case_actions: set[str] = set()
+    support = MappingSupportManifest()
 
-    for task in tasks:
-        candidates = _matching_pairs(task.text, rules)
-        if not candidates:
-            unmatched.append(task.task_id)
-            continue
-        best_size = max(size for _, size, _ in candidates)
-        at_size = [c for c in candidates if c[1] == best_size]
-        best_priority = max(priority for _, _, priority in at_size)
-        winners = sorted({action for action, _, priority in at_size if priority == best_priority})
-        if len(winners) > 1:
-            ambiguous.append((task.task_id, tuple(winners)))
-            continue
-        action = winners[0]
-        mapped.append(MappedTask(task.task_id, action, best_size))
-        entry = support.per_action.setdefault(action, ActionSupport())
-        entry.matches += 1
-        if best_size == 1:
-            entry.single_keyword_matches += 1
-        if action not in seen_case_actions:
-            seen_case_actions.add(action)
-            entry.cases += 1
+    for tasks in task_lists:
+        support.total_tasks += len(tasks)
+        seen_case_actions: set[str] = set()
+        for task in tasks:
+            candidates = _matching_pairs(task.text, rules)
+            if not candidates:
+                unmatched.append(task.task_id)
+                continue
+            best_size, best_priority = max(rank for _, rank in candidates)  # largest set, then priority
+            winners = sorted({action for action, rank in candidates if rank == (best_size, best_priority)})
+            if len(winners) > 1:
+                ambiguous.append((task.task_id, tuple(winners)))
+                continue
+            action = winners[0]
+            mapped.append(MappedTask(task.task_id, action, best_size))
+            entry = support.per_action.setdefault(action, ActionSupport())
+            entry.matches += 1
+            if best_size == 1:
+                entry.single_keyword_matches += 1
+            if action not in seen_case_actions:
+                seen_case_actions.add(action)
+                entry.cases += 1
 
     support.mapped_tasks = len(mapped)
     return MappingResult(
@@ -133,49 +151,15 @@ def map_tasks(
     )
 
 
-def _matching_pairs(text: str, rules: Sequence[MappingRule]) -> list[tuple[str, int, int]]:
-    """All (action, set size, priority) whose keyword set fully hits the text."""
+def _matching_pairs(text: str, rules: Sequence[MappingRule]) -> list[tuple[str, tuple[int, int]]]:
+    """All (action, (set size, priority)) whose keyword set fully hits the text."""
     contains = text.lower().__contains__
     pairs = []
     for rule in rules:
         for keyword_set in rule._lowered_sets:
             if all(map(contains, keyword_set)):
-                pairs.append((rule.action_id, len(keyword_set), rule.priority))
+                pairs.append((rule.action_id, (len(keyword_set), rule.priority)))
     return pairs
-
-
-def map_corpus(
-    corpus: Corpus | Iterable,
-    rules: Sequence[MappingRule],
-    catalog: ActionCatalog,
-) -> MappingResult:
-    """Run the mapper per incident and merge into one corpus-level result.
-
-    ``cases`` counts incidents with at least one match per action; match
-    totals and the partition aggregate across incidents.
-    """
-    mapped: list[MappedTask] = []
-    unmatched: list[str] = []
-    ambiguous: list[tuple[str, tuple[str, ...]]] = []
-    support = MappingSupportManifest()
-    for incident in corpus:
-        result = map_tasks(incident.extracted_tasks, rules, catalog)
-        mapped.extend(result.mapped)
-        unmatched.extend(result.unmatched)
-        ambiguous.extend(result.ambiguous)
-        support.total_tasks += result.support.total_tasks
-        support.mapped_tasks += result.support.mapped_tasks
-        for action, part in result.support.per_action.items():
-            entry = support.per_action.setdefault(action, ActionSupport())
-            entry.matches += part.matches
-            entry.single_keyword_matches += part.single_keyword_matches
-            entry.cases += part.cases
-    return MappingResult(
-        mapped=tuple(mapped),
-        unmatched=tuple(unmatched),
-        ambiguous=tuple(ambiguous),
-        support=support,
-    )
 
 
 def mapping_coverage(result: MappingResult, catalog: ActionCatalog) -> CoverageStats:
@@ -203,21 +187,35 @@ def mapping_coverage(result: MappingResult, catalog: ActionCatalog) -> CoverageS
 # ---------------------------------------------------------------------------
 
 def load_mapping_rules(path: Path | str) -> tuple[tuple[MappingRule, ...], str]:
-    """Read ``mapping_rules.json``; returns rules plus the raw document digest."""
+    """Read ``mapping_rules.json``; returns rules plus the raw document digest.
+
+    Raises ``ParseError`` naming the file and the rule for a document that is
+    not an array of objects, each with a string ``action_id``, a non-empty
+    list of non-empty lists of non-empty strings as ``keyword_sets`` and an
+    optional integer ``priority``.
+    """
     path = Path(path)
     raw, digest = read_json_document(path, ParseError)
+    if not isinstance(raw, list):
+        raise ParseError(f"{path.name}: expected a JSON array of mapping rules")
     rules = []
-    for obj in raw:
-        keyword_sets = tuple(tuple(ks) for ks in obj["keyword_sets"])
-        if not keyword_sets or any(not ks or any(not kw for kw in ks) for ks in keyword_sets):
+    for idx, obj in enumerate(raw):
+        where = f"{path.name}: rule {idx}"
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where} must be a JSON object, got {obj!r}")
+        action_id = json_field(obj, "action_id", str, where, ParseError)
+        keyword_sets = json_field(obj, "keyword_sets", list, where, ParseError)
+        if not all(isinstance(ks, list) and all(isinstance(kw, str) for kw in ks) for ks in keyword_sets):
             raise ParseError(
-                f"{path.name}: rule for {obj.get('action_id')!r} has an empty keyword set"
+                f"{where}: field 'keyword_sets' must be a list of lists of strings, got {keyword_sets!r}"
             )
+        if not keyword_sets or not all(ks and all(ks) for ks in keyword_sets):
+            raise ParseError(f"{path.name}: rule for {action_id!r} has an empty keyword set")
         rules.append(
             MappingRule(
-                action_id=obj["action_id"],
-                keyword_sets=keyword_sets,
-                priority=obj.get("priority", 0),
+                action_id=action_id,
+                keyword_sets=tuple(map(tuple, keyword_sets)),
+                priority=json_field(obj, "priority", int, where, ParseError, default=0),
             )
         )
     return tuple(rules), digest

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
@@ -41,12 +43,11 @@ from .metrics import (
     run_metrics,
     stability_report,
 )
-from .plans import ProposedPlan, load_proposals
+from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
 from .util import read_json, write_json
 
 log = logging.getLogger(__name__)
 
-BASELINE_CELL = ("", "none")
 BASELINE_LABEL = "human_baseline"
 
 CellKey = tuple[str, str]
@@ -107,10 +108,12 @@ class RunConfig:
         """Build a config from document fields; relative paths resolve against ``base``.
 
         ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
-        every required path that is absent, and ``ConfigInvalid`` for an
-        unknown approval mode, a confidence that is not a number in (0, 1),
-        a ``skip_gates`` that is not a boolean or a ``contrast_family`` that
-        is not a list of pairs of ``[model, arm]`` string pairs.
+        every required path that is absent, and ``ConfigInvalid`` for a path
+        that is not a string, an unknown approval mode, a confidence that is
+        not a number in (0, 1), a ``skip_gates`` that is not a boolean, a
+        ``rerun_label`` that cannot name a file (empty, not a string, or
+        holding ``/`` or ``\\``) or a ``contrast_family`` that is not a list
+        of pairs of ``[model, arm]`` string pairs.
         """
         obj = {k: v for k, v in obj.items() if v is not None}
         missing = [k for k in REQUIRED_PATHS if k not in obj]
@@ -127,11 +130,16 @@ class RunConfig:
         skip_gates = obj.get("skip_gates", False)
         if not isinstance(skip_gates, bool):  # "false" must not switch the gates off
             raise ConfigInvalid(f"skip_gates must be true or false, got {skip_gates!r}")
+        rerun_label = obj.get("rerun_label", "r1")  # names summary_<label>.json
+        if not isinstance(rerun_label, str) or not rerun_label or "/" in rerun_label or "\\" in rerun_label:
+            raise ConfigInvalid(f"rerun_label must be a non-empty string without / or \\, got {rerun_label!r}")
 
         def resolve(key):
             value = obj.get(key)
             if value is None:
                 return None
+            if not isinstance(value, (str, os.PathLike)):
+                raise ConfigInvalid(f"{key} must be a path string, got {value!r}")
             value = Path(value)
             return value if value.is_absolute() else base / value
 
@@ -146,7 +154,7 @@ class RunConfig:
             approval_mode=approval_mode,
             confidence=float(confidence),
             contrast_family=contrast_family,
-            rerun_label=obj.get("rerun_label", "r1"),
+            rerun_label=rerun_label,
             skip_gates=skip_gates,
             privacy_patterns_path=resolve("privacy_patterns_path"),
             forbidden_terms_path=resolve("forbidden_terms_path"),
@@ -224,18 +232,26 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     baselines = {pkg.incident_id: baseline_plan(pkg) for pkg in corpus}
 
     # Fail fast on a contrast family whose cells cannot pair up: check it on
-    # the planned runs before anything is enforced or written.
-    compute_contrasts(_planned_outcomes(proposals, baselines), config.contrast_family)
+    # the planned runs before anything is enforced or written. Proposals for
+    # incidents outside the corpus are left out: they fail as runs. Neither
+    # outcome table is kept: at 2k incidents the two would hold about 0.6 MB
+    # until the outputs are written.
+    compute_contrasts(
+        cell_outcomes((p.cell(), p.incident_id, False) for p in proposals if p.incident_id in baselines),
+        config.contrast_family,
+    )
 
     enforced_dir = Path(config.output_dir) / "enforced"
     enforced_dir.mkdir(parents=True, exist_ok=True)
 
     runs: list[RunMetrics] = []
+    baseline_runs: list[RunMetrics] = []
     failures: list[dict] = []
     coverage_loss = 0
-    planned = len(proposals)
-    # Deterministic merge order regardless of any future parallel execution.
-    for plan in sorted(proposals, key=lambda p: (p.incident_id, p.model_id, p.arm)):
+    # The LLM runs in (incident, model, arm) order, then the baselines in
+    # incident order: deterministic regardless of any future parallel execution.
+    proposals.sort(key=lambda p: (p.incident_id, p.model_id, p.arm))
+    for plan in chain(proposals, map(baselines.get, sorted(baselines))):
         try:
             incident = corpus.get(plan.incident_id)
             result = enforce(plan, policy, incident, config.approval_mode)
@@ -251,24 +267,23 @@ def evaluate(config: RunConfig) -> EvaluationResult:
                 }
             )
             continue
-        runs.append(metrics)
-        if _lost_coverage(plan, result, baselines[plan.incident_id]):
-            coverage_loss += 1
-        name = f"{plan.incident_id}__{plan.model_id}__{plan.arm}.json"
-        write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
-
-    baseline_runs: list[RunMetrics] = []
-    for incident_id in sorted(baselines):
-        plan = baselines[incident_id]
-        result = enforce(plan, policy, corpus.get(incident_id), config.approval_mode)
-        baseline_runs.append(run_metrics(plan, result, plan))
-        name = f"{incident_id}__{BASELINE_LABEL}__none.json"
+        if plan.source == SOURCE_BASELINE:
+            baseline_runs.append(metrics)
+            label = BASELINE_LABEL
+        else:
+            runs.append(metrics)
+            coverage_loss += _lost_coverage(plan, result, baselines[plan.incident_id])
+            label = plan.model_id
+        name = f"{plan.incident_id}__{label}__{plan.arm}.json"
         write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
 
     cells = _aggregate_cells(runs, config.confidence)
     baseline_cell = aggregate(baseline_runs, config.confidence)
 
-    contrasts = compute_contrasts(_cell_outcomes(runs), config.contrast_family)
+    contrasts = compute_contrasts(
+        cell_outcomes(((run.model_id, run.arm), run.incident_id, run.violated) for run in runs),
+        config.contrast_family,
+    )
 
     evaluation = EvaluationResult(
         config=config,
@@ -278,7 +293,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         contrasts=contrasts,
         runs=runs,
         baseline_runs=baseline_runs,
-        planned=planned,
+        planned=len(proposals),
         completed=len(runs),
         failures=failures,
         coverage_loss_runs=coverage_loss,
@@ -304,22 +319,11 @@ def _aggregate_cells(runs: Sequence[RunMetrics], confidence: float) -> dict[Cell
     return {key: aggregate(group, confidence) for key, group in sorted(grouped.items())}
 
 
-def _planned_outcomes(
-    proposals: Sequence[ProposedPlan], baselines: Mapping[str, ProposedPlan]
-) -> dict[CellKey, dict[str, bool]]:
-    """Per cell, the incidents it will have runs for. Proposals for incidents
-    without a baseline (outside the corpus) are left out: they fail as runs."""
+def cell_outcomes(rows: Iterable[tuple[CellKey, str, bool]]) -> dict[CellKey, dict[str, bool]]:
+    """The ``{cell: {incident_id: violated}}`` table that ``compute_contrasts`` pairs."""
     outcomes: dict[CellKey, dict[str, bool]] = {}
-    for plan in proposals:
-        if plan.incident_id in baselines:
-            outcomes.setdefault(plan.cell(), {})[plan.incident_id] = False
-    return outcomes
-
-
-def _cell_outcomes(runs: Sequence[RunMetrics]) -> dict[CellKey, dict[str, bool]]:
-    outcomes: dict[CellKey, dict[str, bool]] = {}
-    for run in runs:
-        outcomes.setdefault((run.model_id, run.arm), {})[run.incident_id] = run.violated
+    for cell, incident_id, violated in rows:
+        outcomes.setdefault(cell, {})[incident_id] = violated
     return outcomes
 
 
@@ -421,9 +425,9 @@ def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
             "run_accounting": {
                 "planned_llm_runs": result.planned,
                 "completed_llm_runs": result.completed,
-                "failed_llm_runs": len(result.failures),
+                "failed_llm_runs": result.planned - result.completed,
                 "failures": result.failures,
-                "planned_baselines": len(result.baseline_runs),
+                "planned_baselines": len(corpus),
                 "completed_baselines": len(result.baseline_runs),
             },
         },

@@ -107,6 +107,26 @@ def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, s
     return document, sha256_bytes(data)
 
 
+_ABSENT = object()
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer", list: "a list", dict: "a JSON object"}
+
+
+def json_field(obj: dict, key: str, kind: type, where: str, error: type[Exception], default: Any = _ABSENT) -> Any:
+    """``obj[key]`` of a parsed JSON object, checked to be exactly a ``kind``.
+
+    An absent key gives ``default``; with no default it raises ``error``
+    (``"<where>: missing field '<key>'"``). A present ``default`` value (a
+    ``null`` where the default is ``None``) is accepted as is. Types are
+    exact, so a boolean is never an integer.
+    """
+    value = obj.get(key, default)
+    if type(value) is kind or value is default is not _ABSENT:
+        return value
+    if value is _ABSENT:
+        raise error(f"{where}: missing field {key!r}")
+    raise error(f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def read_json(path: Path | str) -> Any:
     """Read and parse one JSON file; bytes that are not UTF-8 or not JSON raise ``ParseError``."""
     return read_json_document(path, ParseError)[0]

@@ -68,7 +68,8 @@ class TestPrivacyScan:
 
 
 def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
-    """The scan as first written: every pattern and term over every string leaf."""
+    """The scan as first written, every pattern and term over every string leaf,
+    with forbidden-term offsets mapped back from the lowered text."""
     if patterns is None:
         patterns = DEFAULT_PRIVACY_PATTERNS
     compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
@@ -86,6 +87,8 @@ def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
                         )
                     )
             lowered = text.lower()
+            # Offsets in the lowered text, mapped back to the original text.
+            origin = [i for i, ch in enumerate(text) for _ in ch.lower()]
             for term in forbidden_terms:
                 start = 0
                 needle = term.lower()
@@ -93,12 +96,13 @@ def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
                     found = lowered.find(needle, start)
                     if found < 0:
                         break
+                    position = origin[found]
                     findings.append(
                         PrivacyFinding(
                             document_ref=path,
                             kind="forbidden_term",
-                            excerpt=mask_excerpt(text[found : found + len(term)]),
-                            position=found,
+                            excerpt=mask_excerpt(text[position : position + len(term)]),
+                            position=position,
                         )
                     )
                     start = found + 1
@@ -171,6 +175,15 @@ class TestPrivacyScanDifferential:
         assert [(f.document_ref, f.kind) for f in findings] == [
             ("d[0]", "start"), ("d[1]", "end"), ("d[2]", "end"),
         ]
+
+    def test_term_offset_is_in_the_original_text(self):
+        # 'İ'.lower() is two characters, so the lowered text runs ahead of the original.
+        findings = privacy_scan([("d", {"k": "İİ blueharbor"})], ["blueharbor"], {})
+        assert findings == [PrivacyFinding("d.k", "forbidden_term", "bl******or", 3)]
+        docs = [("d", {"k": "İ BlueHarbor, İİ blueharbor"})]
+        findings = privacy_scan(docs, ["blueharbor"], {})
+        assert [(f.position, f.excerpt) for f in findings] == [(2, "Bl******or"), (17, "bl******or")]
+        assert findings == reference_privacy_scan(docs, ["blueharbor"], {})
 
     def test_case_folded_terms_keep_their_positions(self):
         docs = [("d", {"k": "İx Straße SS ΣΑΣ"})]

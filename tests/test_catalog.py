@@ -83,6 +83,13 @@ class TestValidatePolicy:
         assert cycle[0] == cycle[-1]
         assert set(cycle) == {"a", "b"}
 
+    def test_cycle_is_named_from_the_first_node_in_sorted_order(self):
+        catalog = _catalog("a", "b", "c")
+        rules = [_order_rule("r1", "b", "c"), _order_rule("r2", "c", "a"), _order_rule("r3", "a", "b")]
+        with pytest.raises(CyclicPolicy, match=r"^prerequisite graph contains a cycle: a -> b -> c -> a$") as exc:
+            validate_policy(catalog, rules)
+        assert exc.value.cycle == ("a", "b", "c", "a")
+
     def test_self_dependency_rejected(self):
         catalog = _catalog("a")
         with pytest.raises(SelfDependency):
@@ -156,8 +163,11 @@ class TestValidatePolicy:
         try:
             validated = validate_policy(catalog, rules)
             accepted = True
-        except CyclicPolicy:
+        except CyclicPolicy as exc:
             accepted = False
+            cycle = exc.cycle  # a closed path along declared edges, named in the message
+            assert cycle[0] == cycle[-1] and set(zip(cycle, cycle[1:])) <= set(edges)
+            assert str(exc).endswith(" -> ".join(cycle))
         assert accepted == (not has_cycle(edges))
         if accepted:
             # accepted policies admit a topological order

@@ -35,6 +35,19 @@ def _verify_args(bundle, proposal, **extra):
     return args
 
 
+def _config_file(bundle, tmp_path, **fields):
+    """The bundle's run config with absolute input paths, output under ``tmp_path/out``
+    and ``fields`` replacing its values (``None`` drops a field)."""
+    doc = json.loads((bundle / "config.json").read_text())
+    for key in ("corpus_dir", "catalog_path", "policy_path", "mapping_rules_path", "proposals_dir"):
+        doc[key] = str(bundle / doc[key])
+    doc["output_dir"] = str(tmp_path / "out")
+    doc.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return path
+
+
 class TestVerify:
     def test_violating_plan_exits_3(self, bundle, proposal_file, capsys):
         code = main(_verify_args(bundle, proposal_file))
@@ -212,15 +225,7 @@ class TestAuditAndMap:
         assert "EmptyEvaluation" in capsys.readouterr().err
 
 
-    def _config(self, bundle, tmp_path, **fields):
-        doc = json.loads((bundle / "config.json").read_text())
-        for key in ("corpus_dir", "catalog_path", "policy_path", "mapping_rules_path", "proposals_dir"):
-            doc[key] = str(bundle / doc[key])
-        doc["output_dir"] = str(tmp_path / "out")
-        doc.update(fields)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
-        return path
+    _config = staticmethod(_config_file)
 
     def test_config_file_without_corpus_dir_exits_1_named(self, bundle, tmp_path, capsys):
         code = main(["evaluate", "--config", str(self._config(bundle, tmp_path, corpus_dir=None))])
@@ -349,6 +354,16 @@ class TestContrastAndReport:
         doc = json.loads(target.read_text())
         assert doc["contrasts"][0]["delta_rate"] == 0.51
 
+    def test_contrast_over_stored_metrics_reproduces_evaluate(self, bundle, official_eval, tmp_path):
+        out_dir = official_eval.config.output_dir
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(json.loads((bundle / "config.json").read_text())["contrast_family"]))
+        target = tmp_path / "contrasts.json"
+        code = main(["contrast", "--metrics", str(out_dir / "metrics_runs.jsonl"), "--family", str(family),
+                     "--output", str(target)])
+        assert code == 0
+        assert target.read_bytes() == (out_dir / "contrasts.json").read_bytes()
+
     def test_contrast_with_undeclared_cell_exits_1_named(self, official_eval, tmp_path, capsys):
         family = tmp_path / "family.json"
         family.write_text(json.dumps([[["nope", "llm_zero"], ["claude-sonnet-4-6", "llm_zero"]]]))
@@ -471,3 +486,169 @@ def test_cli_import_leaves_jsonschema_out():
     env = dict(os.environ, PYTHONPATH=str(Path(planvet.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_failed_baseline_is_counted_and_the_bundle_written(bundle, tmp_path, monkeypatch):
+    from planvet import pipeline
+    from planvet.plans import SOURCE_BASELINE
+
+    real_enforce = pipeline.enforce
+
+    def enforce(plan, *args):
+        if plan.source == SOURCE_BASELINE and plan.incident_id == "inc_0003":
+            raise RuntimeError("injected")
+        return real_enforce(plan, *args)
+
+    monkeypatch.setattr(pipeline, "enforce", enforce)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 0
+    for name in ("metrics_runs.jsonl", "cell_summaries.json", "contrasts.json", "summary_r1.json",
+                 "stability.json", "manifest.json", "corpus_manifest.json"):
+        assert (out / name).exists(), name
+    accounting = json.loads((out / "manifest.json").read_text())["run_accounting"]
+    assert accounting["planned_llm_runs"] == accounting["completed_llm_runs"] == 800
+    assert accounting["failed_llm_runs"] == 0
+    assert accounting["planned_baselines"] == 200
+    assert accounting["completed_baselines"] == accounting["planned_baselines"] - 1
+    assert accounting["failures"] == [
+        {"incident_id": "inc_0003", "model_id": "", "arm": "none", "error": "RuntimeError: injected"}
+    ]
+    traces = {path.name for path in (out / "enforced").iterdir()}
+    assert len(traces) == 999
+    assert "inc_0003__human_baseline__none.json" not in traces
+    assert "inc_0004__human_baseline__none.json" in traces
+    assert len((out / "metrics_runs.jsonl").read_text().splitlines()) == 999
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: each is a named error, exit 1, no traceback, no output
+# ---------------------------------------------------------------------------
+
+def _edited(source, dest, edit):
+    """Write ``edit(<source document>)`` to ``dest`` as JSON."""
+    dest.write_text(json.dumps(edit(json.loads(source.read_text()))))
+    return str(dest)
+
+
+def _first(document, **changes):
+    """The document with ``changes`` applied to its first entry."""
+    return [{**document[0], **changes}, *document[1:]]
+
+
+def _evaluate(flag, name, edit):
+    def argv(bundle, tmp_path):
+        return ["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(tmp_path / "out"),
+                flag, _edited(bundle / name, tmp_path / Path(name).name, edit)]
+    return argv
+
+
+def _audit(*extra):
+    def argv(bundle, tmp_path):
+        args = {"--corpus-dir": bundle / "corpus", "--catalog": bundle / "catalog.json",
+                "--mapping-rules": bundle / "mapping_rules.json", "--output-dir": tmp_path / "out"}
+        for flag, make in zip(extra[::2], extra[1::2]):
+            args[flag] = make(bundle, tmp_path)
+        return ["audit", *(str(item) for pair in args.items() for item in pair)]
+    return argv
+
+
+def _mapping_rules(edit):
+    return _audit("--mapping-rules", lambda b, t: _edited(b / "mapping_rules.json", t / "mapping_rules.json", edit))
+
+
+def _activation_policy(edit):
+    def argv(bundle, tmp_path):
+        policy = _edited(bundle / "richer" / "candidate_policy.json", tmp_path / "candidate_policy.json", edit)
+        return ["activation-check", "--corpus-dir", str(bundle / "corpus"),
+                "--catalog", str(bundle / "richer" / "candidate_catalog.json"), "--policy", policy,
+                "--plan-source", "baselines", "--output-dir", str(tmp_path / "out")]
+    return argv
+
+
+def _contrast(bad_line):
+    def argv(bundle, tmp_path):
+        good = {"model_id": "m", "arm": "a", "incident_id": "inc_0001", "violated": True}
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([[["m", "a"], ["m", "b"]]]))
+        return ["contrast", "--metrics", str(metrics), "--family", str(family),
+                "--output", str(tmp_path / "out" / "contrasts.json")]
+    return argv
+
+
+def _config_fields(**fields):
+    return lambda bundle, tmp_path: ["evaluate", "--config", str(_config_file(bundle, tmp_path, **fields))]
+
+
+def _latin1_terms(bundle, tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_bytes("blueharbor\ncaf\u00e9\n".encode("latin-1"))
+    return str(path)
+
+
+def _scope_commands(document):
+    return _first(document, scope={**document[0]["scope"], "command_contains": "bash"})
+
+
+MALFORMED_INPUTS = [
+    pytest.param(_evaluate("--catalog", "catalog.json", lambda d: [1]),
+                 "CatalogError", "catalog.json: entry 0 must be a JSON object, got 1", id="catalog-entry-not-object"),
+    pytest.param(_evaluate("--catalog", "catalog.json", lambda d: _first(d, action_id=7)),
+                 "CatalogError", "catalog.json: entry 0: field 'action_id' must be a string, got 7",
+                 id="catalog-action-id-not-string"),
+    pytest.param(_evaluate("--policy", "policy.json", lambda d: [1]),
+                 "PolicyValidationError", "policy.json: rule 0 must be a JSON object, got 1", id="policy-rule-not-object"),
+    pytest.param(_evaluate("--policy", "policy.json", lambda d: _first(d, scope="command_execution")),
+                 "PolicyValidationError", "policy.json: rule 0: field 'scope' must be a JSON object",
+                 id="policy-scope-string"),
+    pytest.param(_evaluate("--policy", "policy.json", lambda d: _first(d, rule_id=["R1"])),
+                 "PolicyValidationError", "policy.json: rule 0: field 'rule_id' must be a string, got ['R1']",
+                 id="policy-rule-id-list"),
+    pytest.param(_activation_policy(_scope_commands),
+                 "PolicyValidationError",
+                 "candidate_policy.json: rule 0: scope: field 'command_contains' must be a list, got 'bash'",
+                 id="policy-command-contains-string"),
+    pytest.param(_mapping_rules(lambda d: [{k: v for k, v in d[0].items() if k != "keyword_sets"}, *d[1:]]),
+                 "ParseError", "mapping_rules.json: rule 0: missing field 'keyword_sets'",
+                 id="mapping-rule-without-keyword-sets"),
+    pytest.param(_mapping_rules(lambda d: _first(d, keyword_sets="abc")),
+                 "ParseError", "mapping_rules.json: rule 0: field 'keyword_sets' must be a list, got 'abc'",
+                 id="mapping-keyword-sets-string"),
+    pytest.param(_mapping_rules(lambda d: _first(d, keyword_sets=["forensic"])),
+                 "ParseError", "mapping_rules.json: rule 0: field 'keyword_sets' must be a list of lists of strings",
+                 id="mapping-keyword-sets-flat"),
+    pytest.param(_mapping_rules(lambda d: {}),
+                 "ParseError", "mapping_rules.json: expected a JSON array of mapping rules",
+                 id="mapping-document-object"),
+    pytest.param(_contrast('{"model_id": "m", "arm": "b"'),
+                 "ParseError", "metrics.jsonl:2: not valid JSON", id="contrast-line-not-json"),
+    pytest.param(_contrast('{"model_id": "m", "arm": "b", "incident_id": "inc_0001"}'),
+                 "ParseError", "metrics.jsonl:2: missing field 'violated'", id="contrast-line-without-violated"),
+    pytest.param(_contrast('{"model_id": "m", "arm": ["b"], "incident_id": "inc_0001", "violated": false}'),
+                 "ParseError", "metrics.jsonl:2: field 'arm' must be a string", id="contrast-line-list-arm"),
+    pytest.param(_audit("--forbidden-terms", _latin1_terms),
+                 "ParseError", "terms.txt: not valid UTF-8", id="forbidden-terms-not-utf8-audit"),
+    pytest.param(lambda b, t: [*_config_fields()(b, t), "--forbidden-terms", _latin1_terms(b, t)],
+                 "ParseError", "terms.txt: not valid UTF-8", id="forbidden-terms-not-utf8-evaluate"),
+    pytest.param(_config_fields(policy_path=7),
+                 "ConfigInvalid", "policy_path must be a path string, got 7", id="config-path-not-string"),
+    pytest.param(_config_fields(rerun_label=7),
+                 "ConfigInvalid", "rerun_label must be a non-empty string without / or \\, got 7",
+                 id="rerun-label-not-string"),
+    pytest.param(_config_fields(rerun_label="a/b"),
+                 "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-slash"),
+    pytest.param(_config_fields(rerun_label="a\\b"),
+                 "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-backslash"),
+    pytest.param(lambda b, t: [*_config_fields()(b, t), "--rerun-label", ""],
+                 "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-empty"),
+]
+
+
+@pytest.mark.parametrize("argv, error, message", MALFORMED_INPUTS)
+def test_malformed_input_is_a_named_exit_1_error(bundle, tmp_path, capsys, argv, error, message):
+    assert main(argv(bundle, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from planvet.catalog import ActionCatalog, ActionEntry
 from planvet.corpus import TaskRecord
 from planvet.errors import UnknownActionInRule
-from planvet.mapping import MappingRule, map_tasks, mapping_coverage
+from planvet.mapping import ActionSupport, MappingRule, map_corpus, map_tasks, mapping_coverage
 
 
 def _catalog(*ids):
@@ -133,6 +135,56 @@ class TestMapTasks:
         if result_grown.mapped:
             assert result_base.mapped, "grown set matched where base set did not"
         assert base[0] != "unmatched" or grown[0] == "unmatched"
+
+
+class TestMapCorpus:
+    WORDS = TestMapTasks.WORDS
+
+    @staticmethod
+    def merged_per_incident(incidents, rules, catalog):
+        """Oracle: map each incident on its own, then sum the results."""
+        mapped, unmatched, ambiguous, per_action = [], [], [], {}
+        total = 0
+        for incident in incidents:
+            result = map_tasks(incident.extracted_tasks, rules, catalog)
+            mapped += result.mapped
+            unmatched += result.unmatched
+            ambiguous += result.ambiguous
+            total += result.support.total_tasks
+            for action, part in result.support.per_action.items():
+                entry = per_action.setdefault(action, ActionSupport())
+                entry.cases += part.cases
+                entry.matches += part.matches
+                entry.single_keyword_matches += part.single_keyword_matches
+        return tuple(mapped), tuple(unmatched), tuple(ambiguous), per_action, total
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4), max_size=4), max_size=5))
+    def test_equals_the_per_incident_merge(self, incidents_words):
+        catalog = _catalog("isolate_host", "collect_forensics")
+        incidents = [
+            SimpleNamespace(extracted_tasks=[_task(f"t{i}", " ".join(words), i) for i, words in enumerate(tasks)])
+            for tasks in incidents_words
+        ]
+        result = map_corpus(incidents, RULES, catalog)
+        mapped, unmatched, ambiguous, per_action, total = self.merged_per_incident(incidents, RULES, catalog)
+        assert (result.mapped, result.unmatched, result.ambiguous) == (mapped, unmatched, ambiguous)
+        assert result.support.per_action == per_action
+        assert list(result.support.per_action) == list(per_action)
+        assert result.support.total_tasks == total
+        assert result.support.mapped_tasks == len(mapped)
+
+    def test_cases_count_incidents(self):
+        catalog = _catalog("isolate_host", "collect_forensics")
+        tasks = [_task("t0", "isolate host"), _task("t1", "isolated the host")]
+        incidents = [SimpleNamespace(extracted_tasks=tasks), SimpleNamespace(extracted_tasks=tasks[:1])]
+        support = map_corpus(incidents, RULES, catalog).support
+        assert support.per_action["isolate_host"] == ActionSupport(cases=2, matches=3, single_keyword_matches=0)
+        assert map_tasks(tasks, RULES, catalog).support.per_action["isolate_host"].cases == 1
+
+    def test_unknown_rule_action_raises_on_an_empty_corpus(self):
+        with pytest.raises(UnknownActionInRule):
+            map_corpus([], [MappingRule("ghost", (("x",),))], _catalog("isolate_host"))
 
 
 class TestMappingCoverage:
