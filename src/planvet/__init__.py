@@ -36,6 +36,7 @@ from .engine import (  # noqa: F401
     ViolationRecord,
     enforce,
     enforce_actions,
+    enforce_modes,
     is_fixed_point,
 )
 from .mapping import (  # noqa: F401
@@ -62,6 +63,7 @@ from .metrics import (  # noqa: F401
 )
 from .plans import (  # noqa: F401
     ProposedPlan,
+    iter_proposals,
     load_proposals,
     out_of_catalog_rate,
     parse_proposal,

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__ as _tool_version
 from .catalog import ActionCatalog, ValidatedPolicy
 from .corpus import PROXY_APPROVAL_SOURCE, Corpus, PackageFile, TaskRecord, read_packages
-from .engine import MODE_DEFER, MODE_REMOVE, enforce, order_chain_depth
+from .engine import MODE_DEFER, MODE_REMOVE, enforce_modes, order_chain_depth
 from .errors import ConfigInvalid, IoError, ParseError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
@@ -319,35 +319,41 @@ def release_gate(
 def activation_check(
     corpus: Corpus,
     policy: ValidatedPolicy,
-    plans: Sequence[ProposedPlan],
+    plans: Iterable[ProposedPlan],
 ) -> ActivationReport:
     """Enforce every plan under a candidate policy and report which rules fire.
 
-    Each plan is enforced under both approval treatments so the report
-    covers every supported repair operator; pass 1 and pass 2 behave
-    identically in both, so chain depth is measured once.
+    Each plan is enforced once for both approval treatments
+    (``engine.enforce_modes``), so the report covers every supported repair
+    operator. Passes 1 and 2 run once per plan and are the same for both
+    treatments, so chain depth is read from the remove-mode result.
+    ``plans`` may be any iterable, a generator included: each plan is
+    consumed once, in order, and not kept, and ``plans_checked`` counts
+    them as they go. An error from producing or enforcing a plan (a
+    malformed proposal, an unknown incident) propagates at that plan.
     """
     activated: set[str] = set()
     operators: set[str] = set()
     max_depth = 0
+    checked = 0
     repair_to_operator = {"insert": "insert", "insert_before": "insert_before",
                           "remove": "remove", "defer": "defer_to_human_approval"}
     for plan in plans:
+        checked += 1
         incident = corpus.get(plan.incident_id)
-        for mode in (MODE_REMOVE, MODE_DEFER):
-            result = enforce(plan, policy, incident, mode)
+        removed, deferred = enforce_modes(plan.actions, policy, incident, (MODE_REMOVE, MODE_DEFER))
+        for result in (removed, deferred):
             for violation in result.violations:
                 activated.add(violation.rule_id)
                 operators.add(repair_to_operator[violation.repair])
-            if mode == MODE_REMOVE:
-                max_depth = max(max_depth, order_chain_depth(result, policy))
+        max_depth = max(max_depth, order_chain_depth(removed, policy))
     return ActivationReport(
         candidate_actions=len(policy.catalog),
         candidate_rules=len(policy.rules),
         activated_rules=tuple(sorted(activated)),
         repair_mode_coverage=tuple(sorted(operators)),
         max_chain_depth=max_depth,
-        plans_checked=len(plans),
+        plans_checked=checked,
     )
 
 

@@ -15,17 +15,19 @@ import functools
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .audit import activation_check, build_manifest, load_gate_inputs, release_gate
-from .catalog import load_catalog, load_policy
+from .catalog import ActionCatalog, load_catalog, load_policy
 from .corpus import baseline_plan, load_corpus, load_package
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
 from .errors import ConfigInvalid, ParseError, PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
 from .pipeline import RunConfig, cell_outcomes, compute_contrasts, contrast_family_pairs, evaluate
-from .plans import SOURCE_FIXTURE, load_proposals, parse_proposal
+from .plans import SOURCE_FIXTURE, ProposedPlan, iter_proposals, parse_proposal
 from .report import write_report
 from .util import json_field, read_json, record_json, write_json
 
@@ -124,7 +126,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"hard_per_run={cell.hard_per_run:.4f} edit_rate={cell.edit_rate:.4f}"
         )
     base = result.baseline_cell
-    print(f"  baseline: violation_rate={base.violation_rate:.4f} coverage={base.mean_coverage:.4f}")
+    if base is None:
+        print("  baseline: no completed runs")
+    else:
+        print(f"  baseline: violation_rate={base.violation_rate:.4f} coverage={base.mean_coverage:.4f}")
     print(f"outputs in {config.output_dir}")
     return EXIT_OK
 
@@ -230,10 +235,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _probe_plans(path: Path) -> list[dict]:
-    """The ``plans`` of a probe document, each an object with a string ``incident_id``.
+def _probe_plans(path: Path, catalog: ActionCatalog) -> Iterator[ProposedPlan]:
+    """The ``plans`` of a probe document, parsed one at a time once the whole document is checked.
 
-    Raises ``ConfigInvalid`` naming the file for any other shape.
+    Each entry must be an object with a string ``incident_id``; any other
+    shape raises ``ConfigInvalid`` naming the file before a plan is yielded.
     """
     document = read_json(path)
     if not isinstance(document, dict):
@@ -246,7 +252,10 @@ def _probe_plans(path: Path) -> list[dict]:
             raise ConfigInvalid(f"{path.name}: plans[{idx}] must be a JSON object, got {plan!r}")
         if not isinstance(plan.get("incident_id"), str):
             raise ConfigInvalid(f"{path.name}: plans[{idx}] needs a string 'incident_id'")
-    return plans
+    for plan in plans:
+        yield parse_proposal(
+            plan, catalog, incident_id=plan["incident_id"], model_id="probe", arm="none", source=SOURCE_FIXTURE
+        )
 
 
 def cmd_activation_check(args: argparse.Namespace) -> int:
@@ -256,30 +265,21 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
     )
     corpus = load_corpus(_existing(args.corpus_dir, "CorpusNotFound"), policy.catalog)
 
-    plans = []
+    # Baselines, then proposals, then probes, each produced as it is checked.
+    streams = []
     sources = args.plan_source
     if sources in ("baselines", "all"):
-        plans.extend(baseline_plan(pkg) for pkg in corpus)
+        streams.append(map(baseline_plan, corpus))
     if sources in ("proposals", "all"):
         if not args.proposals_dir:
             raise NamedCliError("ProposalsDirRequired", "plan source includes proposals")
-        plans.extend(load_proposals(_existing(args.proposals_dir, "ProposalsNotFound"), policy.catalog))
+        streams.append(iter_proposals(_existing(args.proposals_dir, "ProposalsNotFound"), policy.catalog))
     if sources in ("probes", "all"):
         if not args.probes:
             raise NamedCliError("ProbesRequired", "plan source includes probes")
-        for probe in _probe_plans(_existing(args.probes, "ProbesNotFound")):
-            plans.append(
-                parse_proposal(
-                    probe,
-                    policy.catalog,
-                    incident_id=probe["incident_id"],
-                    model_id="probe",
-                    arm="none",
-                    source=SOURCE_FIXTURE,
-                )
-            )
+        streams.append(_probe_plans(_existing(args.probes, "ProbesNotFound"), policy.catalog))
 
-    report = activation_check(corpus, policy, plans)
+    report = activation_check(corpus, policy, chain.from_iterable(streams))
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     write_json(output_dir / "activation_report.json", report.to_json_obj())

@@ -11,6 +11,7 @@ per-file digests for manifests.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -20,7 +21,7 @@ from typing import Callable, Iterator, Mapping
 from .catalog import ActionCatalog
 from .errors import IncidentNotFound, ParseError, SchemaError
 from .plans import ARM_NONE, SOURCE_BASELINE, ProposedPlan
-from .util import sha256_bytes
+from .util import json_names, read_entry, sha256_bytes
 
 # Approval evidence derived from the task-to-action contract rather than
 # from recorded approval logs. The verifier accepts it; the release gate
@@ -278,32 +279,40 @@ class PackageFile:
     """One corpus file, read once: its digest, parsed document and first defect."""
 
     name: str
-    sha256: str  # of the bytes that were parsed
+    sha256: str  # of the bytes that were parsed; empty when they could not be read
     document: object = None  # parsed JSON; None when the bytes did not parse
     defect: ParseError | SchemaError | None = None  # message starts with the file name
 
 
-def read_package(path: Path) -> PackageFile:
-    """Read one package file once and check it against the schema."""
-    data = path.read_bytes()
+def read_package(path: Path | str) -> PackageFile:
+    """Read one package file once and check it against the schema.
+
+    An entry that cannot be read (a directory named ``*.json``, say) is a
+    ``ParseError`` defect naming the file, with an empty digest.
+    """
+    name = os.path.basename(path)
+    try:
+        data = read_entry(path)
+    except ParseError as exc:
+        return PackageFile(name, "", defect=exc)
     digest = sha256_bytes(data)
     try:
         document = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an oversized number
-        return PackageFile(path.name, digest, defect=ParseError(f"{path.name}: invalid JSON: {exc}"))
+        return PackageFile(name, digest, defect=ParseError(f"{name}: invalid JSON: {exc}"))
     found = schema_defect(document)
-    defect = SchemaError(f"{path.name}: {found}") if found else None
-    return PackageFile(path.name, digest, document, defect)
+    defect = SchemaError(f"{name}: {found}") if found else None
+    return PackageFile(name, digest, document, defect)
 
 
 def read_packages(directory: Path | str) -> Iterator[PackageFile]:
-    """Read every ``*.json`` file once, in filename order, and check it against the schema.
+    """Read every ``*.json`` entry once, in filename order, and check it against the schema.
 
     Yields one file at a time so callers can drop each document before the
     next is parsed.
     """
-    for path in sorted(Path(directory).glob("*.json"), key=lambda p: p.name):
-        yield read_package(path)
+    for name in json_names(directory):
+        yield read_package(os.path.join(directory, name))
 
 
 def load_package(directory: Path | str, incident_id: str, catalog: ActionCatalog) -> IncidentPackage:

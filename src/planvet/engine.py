@@ -7,6 +7,11 @@ a fresh prerequisite instance; the engine never reorders. Pass 3 treats
 unapproved approval-gated occurrences left to right: removed in the primary
 mode, kept and recorded in defer mode.
 
+Passes 1 and 2 do not depend on the approval mode. ``enforce_modes`` runs
+them once and finishes pass 3 for each requested mode from their shared
+output; ``enforce`` and ``enforce_actions`` are that entry point with one
+mode, so there is one engine whichever way it is called.
+
 For fixed inputs the enforced sequence and the full violation trace are
 byte-identical across runs. Reapplying remove-mode enforcement to its own
 output modifies nothing.
@@ -98,8 +103,25 @@ def enforce_actions(
     incident: IncidentPackage,
     mode: str = MODE_REMOVE,
 ) -> EnforcementResult:
-    if mode not in APPROVAL_MODES:
-        raise ValueError(f"unknown approval mode {mode!r}")
+    """``enforce`` on a bare action sequence."""
+    return enforce_modes(actions, policy, incident, (mode,))[0]
+
+
+def enforce_modes(
+    actions: Sequence[str],
+    policy: ValidatedPolicy,
+    incident: IncidentPackage,
+    modes: Sequence[str],
+) -> tuple[EnforcementResult, ...]:
+    """One result per approval mode, each equal to ``enforce_actions`` in that mode.
+
+    Passes 1 and 2 do not depend on the mode, so they run once; pass 3
+    runs per mode on a copy of their output, except for the last mode,
+    which takes the output itself (one mode copies nothing).
+    """
+    for mode in modes:
+        if mode not in APPROVAL_MODES:
+            raise ValueError(f"unknown approval mode {mode!r}")
 
     # Working plan carries stable occurrence tags so the termination
     # instrumentation can assert "one insertion per (rule, occurrence)".
@@ -107,20 +129,30 @@ def enforce_actions(
     working: list[tuple[str, int]] = [(a, next(tag_counter)) for a in actions]
     violations: list[ViolationRecord] = []
     edit_counts: dict[str, int] = {op: 0 for op in EDIT_OPERATORS}
-    deferred: list[str] = []
 
     _pass_mandatory(working, policy, incident, violations, edit_counts, tag_counter)
     _pass_ordering(working, policy, violations, edit_counts, tag_counter)
-    _pass_approval(working, policy, incident, mode, violations, edit_counts, deferred)
 
-    return EnforcementResult(
-        enforced_actions=tuple(action for action, _ in working),
-        violations=tuple(violations),
-        modified=sum(edit_counts.values()) >= 1,
-        edit_counts=edit_counts,
-        approval_mode=mode,
-        deferred_actions=tuple(deferred),
-    )
+    results = []
+    last = len(modes) - 1
+    for index, mode in enumerate(modes):
+        if index < last:
+            mode_working, mode_violations, mode_counts = list(working), list(violations), dict(edit_counts)
+        else:
+            mode_working, mode_violations, mode_counts = working, violations, edit_counts
+        deferred: list[str] = []
+        _pass_approval(mode_working, policy, incident, mode, mode_violations, mode_counts, deferred)
+        results.append(
+            EnforcementResult(
+                enforced_actions=tuple(action for action, _ in mode_working),
+                violations=tuple(mode_violations),
+                modified=sum(mode_counts.values()) >= 1,
+                edit_counts=mode_counts,
+                approval_mode=mode,
+                deferred_actions=tuple(deferred),
+            )
+        )
+    return tuple(results)
 
 
 def is_fixed_point(

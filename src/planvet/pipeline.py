@@ -166,7 +166,7 @@ class EvaluationResult:
     config: RunConfig
     policy: ValidatedPolicy
     cells: dict[CellKey, CellSummary]
-    baseline_cell: CellSummary
+    baseline_cell: CellSummary | None  # None when every baseline run failed
     contrasts: list[ContrastResult]
     runs: list[RunMetrics]
     baseline_runs: list[RunMetrics]
@@ -278,7 +278,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
 
     cells = _aggregate_cells(runs, config.confidence)
-    baseline_cell = aggregate(baseline_runs, config.confidence)
+    # Failed baselines are in ``failures``; with none left there is no baseline cell.
+    baseline_cell = aggregate(baseline_runs, config.confidence) if baseline_runs else None
 
     contrasts = compute_contrasts(
         cell_outcomes(((run.model_id, run.arm), run.incident_id, run.violated) for run in runs),
@@ -396,8 +397,9 @@ def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
             fh.write(json.dumps(present(run.to_json_obj()), sort_keys=True) + "\n")
 
     cell_objs = [result.cells[key].to_json_obj() for key in sorted(result.cells)]
-    baseline_obj = result.baseline_cell.to_json_obj()
-    baseline_obj["label"] = BASELINE_LABEL
+    baseline_obj = None
+    if result.baseline_cell is not None:
+        baseline_obj = {**result.baseline_cell.to_json_obj(), "label": BASELINE_LABEL}
     write_json(output_dir / "cell_summaries.json", {"cells": cell_objs, "baseline": baseline_obj})
 
     write_json(output_dir / "contrasts.json", {"contrasts": [c.to_json_obj() for c in result.contrasts]})

@@ -9,12 +9,14 @@ no synonym matching, no case folding.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .catalog import ActionCatalog
 from .errors import MissingField, ParseError, WrongType
+from .util import json_names, read_entry
 
 SOURCE_LLM = "llm_proposal"
 SOURCE_BASELINE = "human_baseline"
@@ -101,29 +103,29 @@ def out_of_catalog_rate(plans: Sequence[ProposedPlan]) -> float:
     return dirty / len(plans)
 
 
-def load_proposals(directory: Path | str, catalog: ActionCatalog) -> list[ProposedPlan]:
-    """Load every ``<incident_id>__<model>__<arm>.json`` proposal fixture.
+def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[ProposedPlan]:
+    """Parse every ``<incident_id>__<model>__<arm>.json`` proposal fixture, one at a time.
 
-    Returned in sorted filename order, which is also (incident, model, arm)
-    order for the shipped bundle naming scheme.
+    Yielded in sorted filename order, which is also (incident, model, arm)
+    order for the shipped bundle naming scheme. A name that does not split
+    into three parts, or an entry that cannot be read (a directory named
+    ``*.json``, say), raises ``ParseError`` naming the file.
     """
-    directory = Path(directory)
-    plans: list[ProposedPlan] = []
-    for path in sorted(directory.glob("*.json")):
-        parts = path.stem.split("__")
+    for name in json_names(directory):
+        parts = name.removesuffix(".json").split("__")
         if len(parts) != 3:
-            raise ParseError(
-                f"{path.name}: expected <incident_id>__<model>__<arm>.json naming"
-            )
+            raise ParseError(f"{name}: expected <incident_id>__<model>__<arm>.json naming")
         incident_id, model_id, arm = parts
-        plans.append(
-            parse_proposal(
-                path.read_bytes(),
-                catalog,
-                incident_id=incident_id,
-                model_id=model_id,
-                arm=arm,
-                source=SOURCE_LLM,
-            )
+        yield parse_proposal(
+            read_entry(os.path.join(directory, name)),
+            catalog,
+            incident_id=incident_id,
+            model_id=model_id,
+            arm=arm,
+            source=SOURCE_LLM,
         )
-    return plans
+
+
+def load_proposals(directory: Path | str, catalog: ActionCatalog) -> list[ProposedPlan]:
+    """Every proposal fixture under ``directory``, in ``iter_proposals`` order."""
+    return list(iter_proposals(directory, catalog))

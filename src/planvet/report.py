@@ -44,7 +44,9 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _outcome_row(label: str, cell: dict) -> list[str]:
+def _outcome_row(label: str, cell: dict | None) -> list[str]:
+    if cell is None:  # a cell with no completed runs
+        return [label, "0", *["-"] * 6]
     return [
         label,
         str(cell["n_runs"]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cache
@@ -91,6 +92,33 @@ def write_json(path: Path | str, obj: Any, *, rounded: bool = True) -> None:
     payload = present(obj) if rounded else obj
     text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, default=record_json)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def json_names(directory: Path | str) -> list[str]:
+    """Names of the entries in ``directory`` that end ``.json``, sorted as strings.
+
+    The same names in the same order as ``sorted(Path(directory).glob("*.json"))``:
+    dotfiles and subdirectories are included, matching is case-sensitive, and
+    a directory that is missing, not a directory or not readable lists nothing.
+    """
+    try:
+        names = os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+    return sorted(name for name in names if name.endswith(".json"))
+
+
+def read_entry(path: Path | str) -> bytes:
+    """The bytes of one listed entry.
+
+    An entry that cannot be read as a file (a directory named ``*.json``,
+    say) raises ``ParseError`` naming it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{os.path.basename(path)}: cannot read: {exc.strerror or exc}") from exc
 
 
 def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, str]:

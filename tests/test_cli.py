@@ -481,6 +481,28 @@ def test_malformed_probes_exit_1_named(bundle, tmp_path, capsys, document, messa
     assert not (tmp_path / "out").exists()
 
 
+def test_activation_check_reports_the_first_defect_in_plan_order(bundle, tmp_path, capsys):
+    proposals = tmp_path / "proposals"
+    proposals.mkdir()
+    (proposals / "inc_9999__m__a.json").write_text('{"recommended_actions": []}')  # no such incident
+    (proposals / "zz__m__a.json").write_text('{"recommended_actions": [')
+    probes = tmp_path / "probes.json"
+    probes.write_text('["not an object"]')
+    code = main([
+        "activation-check",
+        "--corpus-dir", str(bundle / "corpus"),
+        "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+        "--policy", str(bundle / "richer" / "candidate_policy.json"),
+        "--plan-source", "all",
+        "--proposals-dir", str(proposals),
+        "--probes", str(probes),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("IncidentNotFound: inc_9999")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_jsonschema_out():
     code = "import sys, planvet.cli; print('jsonschema' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(planvet.__file__).parents[1]))
@@ -518,6 +540,51 @@ def test_failed_baseline_is_counted_and_the_bundle_written(bundle, tmp_path, mon
     assert "inc_0003__human_baseline__none.json" not in traces
     assert "inc_0004__human_baseline__none.json" in traces
     assert len((out / "metrics_runs.jsonl").read_text().splitlines()) == 999
+
+
+def test_every_baseline_failing_still_writes_the_bundle(bundle, tmp_path, monkeypatch, capsys):
+    from planvet import pipeline
+    from planvet.plans import SOURCE_BASELINE
+
+    real_enforce = pipeline.enforce
+
+    def enforce(plan, *args):
+        if plan.source == SOURCE_BASELINE:
+            raise RuntimeError("injected")
+        return real_enforce(plan, *args)
+
+    monkeypatch.setattr(pipeline, "enforce", enforce)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 0
+    assert "baseline: no completed runs" in capsys.readouterr().out
+    for name in ("metrics_runs.jsonl", "cell_summaries.json", "contrasts.json", "summary_r1.json",
+                 "stability.json", "manifest.json", "corpus_manifest.json"):
+        assert (out / name).exists(), name
+    cells = json.loads((out / "cell_summaries.json").read_text())
+    assert cells["baseline"] is None
+    assert len(cells["cells"]) == 4
+    accounting = json.loads((out / "manifest.json").read_text())["run_accounting"]
+    assert accounting["completed_llm_runs"] == 800
+    assert accounting["planned_baselines"] == 200
+    assert accounting["completed_baselines"] == 0
+    assert [failure["incident_id"] for failure in accounting["failures"]] == [f"inc_{i:04d}" for i in range(1, 201)]
+    assert {(f["model_id"], f["arm"], f["error"]) for f in accounting["failures"]} == {
+        ("", "none", "RuntimeError: injected")
+    }
+    assert main(["report", "--output-dir", str(out)]) == 0
+    assert "| human baseline | 0 | - | - | - | - | - | - |" in (out / "report.md").read_text()
+
+
+def test_directory_entry_is_an_audit_parse_failure(bundle, tmp_path):
+    corpus = shutil.copytree(bundle / "corpus", tmp_path / "corpus")
+    (corpus / "zz.json").mkdir()
+    out = tmp_path / "out"
+    code = main(["audit", "--corpus-dir", str(corpus), "--catalog", str(bundle / "catalog.json"),
+                 "--mapping-rules", str(bundle / "mapping_rules.json"), "--output-dir", str(out)])
+    assert code == 3
+    report = json.loads((out / "gate_report.json").read_text())
+    assert report["parse_failures"] == ["zz.json: cannot read: Is a directory"]
+    assert report["parseability_pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +654,21 @@ def _latin1_terms(bundle, tmp_path):
     return str(path)
 
 
+def _corpus_with_directory(bundle, tmp_path):
+    corpus = shutil.copytree(bundle / "corpus", tmp_path / "corpus")
+    (corpus / "zz.json").mkdir()
+    return ["activation-check", "--corpus-dir", str(corpus),
+            "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+            "--policy", str(bundle / "richer" / "candidate_policy.json"),
+            "--plan-source", "baselines", "--output-dir", str(tmp_path / "out")]
+
+
+def _proposals_with_directory(bundle, tmp_path):
+    proposals = shutil.copytree(bundle / "proposals", tmp_path / "proposals")
+    (proposals / "inc_0001__m__a.json").mkdir()
+    return [*_config_fields()(bundle, tmp_path), "--proposals-dir", str(proposals)]
+
+
 def _scope_commands(document):
     return _first(document, scope={**document[0]["scope"], "command_contains": "bash"})
 
@@ -642,6 +724,10 @@ MALFORMED_INPUTS = [
                  "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-backslash"),
     pytest.param(lambda b, t: [*_config_fields()(b, t), "--rerun-label", ""],
                  "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-empty"),
+    pytest.param(_corpus_with_directory,
+                 "ParseError", "zz.json: cannot read: Is a directory", id="corpus-directory-entry"),
+    pytest.param(_proposals_with_directory,
+                 "ParseError", "inc_0001__m__a.json: cannot read: Is a directory", id="proposals-directory-entry"),
 ]
 
 

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from planvet.corpus import baseline_plan, load_corpus, load_package
+from planvet.corpus import baseline_plan, load_corpus, load_package, read_packages
 from planvet.errors import IncidentNotFound, ParseError, SchemaError
 from planvet.fixtures import NO_ISOLATE_EVIDENCE, incident_id, incident_obj
+from planvet.plans import iter_proposals
 
 
 class TestLoadCorpus:
@@ -147,12 +148,59 @@ class TestLoaderDefects:
             load_corpus(tmp_path / "c", catalog, visit=lambda f: seen.append(f.name))
         assert seen == ["inc_0001.json", "inc_0002.json", "inc_0003.json"]
 
+    def test_directory_named_json_is_a_parse_error(self, tmp_path, catalog):
+        _write_corpus(tmp_path / "c", incident_obj(1))
+        (tmp_path / "c" / "zz.json").mkdir()
+        with pytest.raises(ParseError, match="^zz.json: cannot read: Is a directory"):
+            load_corpus(tmp_path / "c", catalog)
+
     def test_digests_are_taken_from_the_parsed_bytes(self, bundle, corpus):
         from planvet.util import sha256_file
 
         assert corpus.digests == {
             name: sha256_file(bundle / "corpus" / name) for name in corpus.digests
         }
+
+
+class TestDirectoryListing:
+    """The loaders list the names that ``sorted(glob("*.json"))`` lists, in its order."""
+
+    # Listed: dotfiles and a name sorting before the digits; skipped: other
+    # suffixes, a suffix in another case, and a ``.json`` inside a name.
+    NAMES = (".x", "_a", "B", "a", "a.b", "\u00e9", "0")
+    SKIPPED = ("X.JSON", "a.json.bak", "notes.txt", "json", "a_json")
+
+    @staticmethod
+    def _globbed(directory):
+        return [path.name for path in sorted(directory.glob("*.json"))]
+
+    def test_read_packages_sees_the_globbed_names(self, tmp_path):
+        for stem in self.NAMES:
+            (tmp_path / f"{stem}.json").write_text("{}")
+        for name in self.SKIPPED:
+            (tmp_path / name).write_text("{}")
+        names = [package.name for package in read_packages(tmp_path)]
+        assert names == self._globbed(tmp_path)
+        assert len(names) == len(self.NAMES)
+
+    def test_iter_proposals_sees_the_globbed_names(self, tmp_path, catalog):
+        for stem in self.NAMES:
+            (tmp_path / f"{stem}__m__a.json").write_text('{"recommended_actions": []}')
+        for name in self.SKIPPED:
+            (tmp_path / f"i__m__{name}").write_text("not JSON")
+        seen = [f"{p.incident_id}__{p.model_id}__{p.arm}.json" for p in iter_proposals(tmp_path, catalog)]
+        assert seen == self._globbed(tmp_path)
+        assert len(seen) == len(self.NAMES)
+
+    def test_a_missing_directory_lists_nothing(self, tmp_path, catalog):
+        assert self._globbed(tmp_path / "absent") == []
+        assert list(read_packages(tmp_path / "absent")) == []
+        assert list(iter_proposals(tmp_path / "absent", catalog)) == []
+
+    def test_directory_named_like_a_proposal_is_a_parse_error(self, tmp_path, catalog):
+        (tmp_path / "inc_0001__m__a.json").mkdir()
+        with pytest.raises(ParseError, match="^inc_0001__m__a.json: cannot read: Is a directory"):
+            list(iter_proposals(tmp_path, catalog))
 
 
 class TestCorpusIndex:

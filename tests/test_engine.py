@@ -2,24 +2,38 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planvet.audit import activation_check
 from planvet.catalog import (
+    PROHIBIT_BEFORE,
     ActionCatalog,
     ActionEntry,
     PolicyRule,
     ScopePredicate,
+    load_policy,
+    scope_matches,
     validate_policy,
 )
-from planvet.corpus import ApprovalEvidence, IncidentPackage, TelemetryEvent
+from planvet.corpus import ApprovalEvidence, IncidentPackage, TelemetryEvent, baseline_plan, load_corpus
 from planvet.engine import (
+    APPROVAL_MODES,
+    EDIT_OPERATORS,
     MODE_DEFER,
     MODE_REMOVE,
+    VIOLATION_TYPE_BY_FAMILY,
+    EnforcementResult,
+    ViolationRecord,
     enforce_actions,
+    enforce_modes,
     is_fixed_point,
     order_chain_depth,
 )
+from planvet.errors import InternalBoundExceeded
+from planvet.plans import iter_proposals, parse_proposal
+from planvet.util import read_json
 
 
 def _catalog(ids, gated=()):
@@ -279,3 +293,226 @@ class TestDeterminismAndIdempotence:
         second = enforce_actions(first.enforced_actions, policy, incident, MODE_REMOVE)
         assert second.modified is False
         assert second.enforced_actions == first.enforced_actions
+
+
+# ---------------------------------------------------------------------------
+# Differential: one shared pass-1/pass-2 prefix against the per-mode engine
+# ---------------------------------------------------------------------------
+
+def reference_enforce_actions(actions, policy, incident, mode=MODE_REMOVE):
+    """The engine as it was before ``enforce_modes``: all three passes per mode."""
+    if mode not in APPROVAL_MODES:
+        raise ValueError(f"unknown approval mode {mode!r}")
+
+    # Working plan carries stable occurrence tags so the termination
+    # instrumentation can assert "one insertion per (rule, occurrence)".
+    tag_counter = iter(range(10**9))
+    working: list[tuple[str, int]] = [(a, next(tag_counter)) for a in actions]
+    violations: list[ViolationRecord] = []
+    edit_counts: dict[str, int] = {op: 0 for op in EDIT_OPERATORS}
+    deferred: list[str] = []
+
+    _ref_pass_mandatory(working, policy, incident, violations, edit_counts, tag_counter)
+    _ref_pass_ordering(working, policy, violations, edit_counts, tag_counter)
+    _ref_pass_approval(working, policy, incident, mode, violations, edit_counts, deferred)
+
+    return EnforcementResult(
+        enforced_actions=tuple(action for action, _ in working),
+        violations=tuple(violations),
+        modified=sum(edit_counts.values()) >= 1,
+        edit_counts=edit_counts,
+        approval_mode=mode,
+        deferred_actions=tuple(deferred),
+    )
+
+
+def _ref_record(rule, action, position, repair):
+    return ViolationRecord(
+        rule_id=rule.rule_id,
+        family=rule.family,
+        violation_type=VIOLATION_TYPE_BY_FAMILY[rule.family],
+        action_id=action,
+        position=position,
+        repair=repair,
+        severity=rule.severity,
+    )
+
+
+def _ref_pass_mandatory(working, policy, incident, violations, edit_counts, tag_counter):
+    for rule in policy.mandatory_rules:
+        if not scope_matches(rule, incident.telemetry):
+            continue
+        if any(action == rule.target_action for action, _ in working):
+            continue
+        working.append((rule.target_action, next(tag_counter)))
+        violations.append(_ref_record(rule, rule.target_action, len(working) - 1, "insert"))
+        edit_counts["insert"] += 1
+
+
+def _ref_pass_ordering(working, policy, violations, edit_counts, tag_counter):
+    rules_by_target = policy.order_rules
+    if not rules_by_target:
+        return
+
+    # Cap signals an engine bug, never a data condition: legitimate work on
+    # an acyclic graph stays far below length * rules * catalog.
+    cap = (
+        max(1, len(working))
+        * max(1, len(policy.rules))
+        * max(1, len(policy.catalog))
+    )
+    fired: set[tuple[str, int]] = set()
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > cap + 1:
+            raise InternalBoundExceeded(
+                f"ordering repair exceeded {cap} iterations; engine bug"
+            )
+        found = _ref_leftmost_order_violation(working, rules_by_target)
+        if found is None:
+            return
+        index, rule, tag = found
+        pair = (rule.rule_id, tag)
+        if pair in fired:
+            raise InternalBoundExceeded(
+                f"rule {rule.rule_id} fired twice for one occurrence; engine bug"
+            )
+        fired.add(pair)
+        working.insert(index, (rule.prerequisite_action, next(tag_counter)))
+        violations.append(_ref_record(rule, rule.prerequisite_action, index, "insert_before"))
+        edit_counts["insert_before"] += 1
+
+
+def _ref_leftmost_order_violation(working, rules_by_target):
+    seen: set[str] = set()
+    for index, (action, tag) in enumerate(working):
+        for rule in rules_by_target.get(action, ()):
+            if rule.prerequisite_action not in seen:
+                return index, rule, tag
+        seen.add(action)
+    return None
+
+
+def _ref_pass_approval(working, policy, incident, mode, violations, edit_counts, deferred):
+    # One repair per occurrence: when several approval rules target the same
+    # action the lowest rule id carries the record.
+    rule_by_action = policy.approval_rules
+    if not rule_by_action:
+        return
+    approved = incident.approved_actions()
+    repair = "remove" if mode == MODE_REMOVE else "defer"
+
+    index = 0
+    while index < len(working):
+        action, _tag = working[index]
+        rule = rule_by_action.get(action)
+        if rule is None or action in approved:
+            index += 1
+            continue
+        violations.append(_ref_record(rule, action, index, repair))
+        edit_counts[repair] += 1
+        if mode == MODE_REMOVE:
+            del working[index]
+        else:
+            deferred.append(action)
+            index += 1
+
+
+def reference_activation_check(corpus, policy, plans):
+    """The activation check as it was: a list of plans, ``enforce`` once per mode."""
+    activated: set[str] = set()
+    operators: set[str] = set()
+    max_depth = 0
+    repair_to_operator = {"insert": "insert", "insert_before": "insert_before",
+                          "remove": "remove", "defer": "defer_to_human_approval"}
+    for plan in plans:
+        incident = corpus.get(plan.incident_id)
+        for mode in (MODE_REMOVE, MODE_DEFER):
+            result = reference_enforce_actions(plan.actions, policy, incident, mode)
+            for violation in result.violations:
+                activated.add(violation.rule_id)
+                operators.add(repair_to_operator[violation.repair])
+            if mode == MODE_REMOVE:
+                max_depth = max(max_depth, order_chain_depth(result, policy))
+    return (tuple(sorted(activated)), tuple(sorted(operators)), max_depth, len(plans))
+
+
+SURFACES = {
+    "official": ("catalog.json", "policy.json"),
+    "candidate": ("richer/candidate_catalog.json", "richer/candidate_policy.json"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SURFACES))
+def surface(request, bundle):
+    """A fixture policy surface and the fixture corpus loaded under its catalog."""
+    catalog_name, policy_name = SURFACES[request.param]
+    policy = load_policy(bundle / catalog_name, bundle / policy_name)
+    return policy, load_corpus(bundle / "corpus", policy.catalog)
+
+
+def _plans(policy):
+    """Catalog actions with repeats, mixed with (target, prerequisite) pairs in the wrong order."""
+    out_of_order = [
+        (rule.target_action, rule.prerequisite_action) for rule in policy.rules if rule.family == PROHIBIT_BEFORE
+    ]
+    piece = st.sampled_from(policy.catalog.action_ids()).map(lambda action: (action,))
+    if out_of_order:
+        piece |= st.sampled_from(out_of_order)
+    return st.lists(piece, max_size=8).map(lambda pieces: tuple(a for p in pieces for a in p))
+
+
+class TestEnforceModesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_mode_equals_the_per_mode_engine(self, surface, data):
+        policy, corpus = surface
+        incident = data.draw(st.sampled_from(corpus.packages))
+        actions = data.draw(_plans(policy))
+        modes = data.draw(st.lists(st.sampled_from(APPROVAL_MODES), min_size=1, max_size=3))
+        results = enforce_modes(actions, policy, incident, modes)
+        assert [result.approval_mode for result in results] == modes
+        for result in results:
+            expected = reference_enforce_actions(actions, policy, incident, result.approval_mode)
+            assert result.enforced_actions == expected.enforced_actions
+            assert result.violations == expected.violations  # positions included
+            assert dict(result.edit_counts) == dict(expected.edit_counts)
+            assert result.deferred_actions == expected.deferred_actions
+            assert result.modified == expected.modified
+            assert result.canonical() == expected.canonical()
+        assert enforce_actions(actions, policy, incident, modes[0]) == results[0]
+
+    def test_fixture_plans_in_both_modes(self, surface, bundle):
+        policy, corpus = surface
+        plans = [baseline_plan(pkg) for pkg in corpus]
+        plans += iter_proposals(bundle / "proposals", policy.catalog)
+        for plan in plans:
+            incident = corpus.get(plan.incident_id)
+            removed, deferred = enforce_modes(plan.actions, policy, incident, (MODE_REMOVE, MODE_DEFER))
+            assert removed == reference_enforce_actions(plan.actions, policy, incident, MODE_REMOVE)
+            assert deferred == reference_enforce_actions(plan.actions, policy, incident, MODE_DEFER)
+
+    def test_unknown_mode_is_refused_before_any_pass(self, policy):
+        with pytest.raises(ValueError, match="unknown approval mode 'keep'"):
+            enforce_modes(["restore_host"], policy, _incident(), (MODE_REMOVE, "keep"))
+
+
+class TestActivationCheckStreams:
+    def test_generator_list_and_per_mode_loop_agree(self, surface, bundle):
+        policy, corpus = surface
+
+        def plans():
+            yield from map(baseline_plan, corpus)
+            yield from iter_proposals(bundle / "proposals", policy.catalog)
+            for probe in read_json(bundle / "richer" / "probe_plans.json")["plans"]:
+                yield parse_proposal(probe, policy.catalog, incident_id=probe["incident_id"],
+                                     model_id="probe", arm="none", source="fixture")
+
+        streamed = activation_check(corpus, policy, plans())
+        listed = activation_check(corpus, policy, list(plans()))
+        assert streamed == listed
+        assert streamed.plans_checked == 1003
+        expected = reference_activation_check(corpus, policy, list(plans()))
+        assert (streamed.activated_rules, streamed.repair_mode_coverage,
+                streamed.max_chain_depth, streamed.plans_checked) == expected
