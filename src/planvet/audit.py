@@ -22,7 +22,7 @@ from .engine import MODE_DEFER, MODE_REMOVE, enforce_modes, order_chain_depth
 from .errors import ConfigInvalid, IoError, ParseError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
-from .util import canonical_json, read_json, record_json, sha256_file, sha256_text
+from .util import canonical_json, read_entry, read_json, record_json, sha256_file, sha256_text
 
 # Declared baseline pattern set, versioned and hash-tracked. Hostname and
 # user-id shapes are necessarily heuristic; the pattern file is an input,
@@ -98,6 +98,21 @@ def _iter_strings(obj, path: str):
             yield from _iter_strings(item, f"{path}[{idx}]")
 
 
+def _collect_values(obj, values: dict[str, None]) -> None:
+    """Add each string leaf of ``obj`` to ``values``.
+
+    Visits the leaves ``_iter_strings`` visits, but builds no locations.
+    """
+    if isinstance(obj, str):
+        values[obj] = None
+    elif isinstance(obj, Mapping):
+        for value in obj.values():
+            _collect_values(value, values)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _collect_values(item, values)
+
+
 def privacy_scan(
     documents: Iterable[tuple[str, object]],
     forbidden_terms: Sequence[str] = (),
@@ -109,9 +124,11 @@ def privacy_scan(
     Findings, not errors: an empty list means the scan passed.
 
     Each string value is matched on its own, so ``^`` and ``$`` anchor to
-    that value. Per document, one ``search`` sweep per pattern and one
-    substring sweep per term mark the values that hit; only those are
-    scanned for findings. A value has findings exactly when it is marked.
+    that value. Per document, each distinct value is matched once: one
+    ``search`` sweep per pattern and one substring sweep per term mark the
+    values that hit. Only if some value hit is the document walked again
+    with locations, and findings are built for each leaf holding a marked
+    value. A value has findings exactly when it is marked.
     Forbidden terms match case-insensitively; their positions and excerpts
     refer to the original value, also where lowering changes its length.
     """
@@ -121,18 +138,21 @@ def privacy_scan(
     needles = [term.lower() for term in forbidden_terms if term]
     findings: list[PrivacyFinding] = []
     for document_ref, obj in documents:
-        leaves = list(_iter_strings(obj, document_ref))
-        texts = [text for _, text in leaves]
-        indices = range(len(texts))
-        marked: set[int] = set()
+        distinct: dict[str, None] = {}
+        _collect_values(obj, distinct)
+        texts = list(distinct)
+        marked: set[str] = set()
         for _, regex in compiled:
-            marked.update(compress(indices, map(regex.search, texts)))
+            marked.update(compress(texts, map(regex.search, texts)))
         if needles:
             lowered_texts = [text.lower() for text in texts]
             for needle in needles:
-                marked.update(compress(indices, map(operator.contains, lowered_texts, repeat(needle))))
-        for index in sorted(marked):
-            path, text = leaves[index]
+                marked.update(compress(texts, map(operator.contains, lowered_texts, repeat(needle))))
+        if not marked:
+            continue
+        for path, text in _iter_strings(obj, document_ref):
+            if text not in marked:
+                continue
             for kind, regex in compiled:
                 for match in regex.finditer(text):
                     findings.append(
@@ -180,14 +200,15 @@ def load_gate_inputs(
     The pattern file is a JSON object of kind -> regular expression; each
     pattern is compiled here, once. Raises ``ConfigInvalid`` naming the
     file (and the kind) for any other document or a pattern that does not
-    compile, and ``ParseError`` naming the term file when it is not UTF-8.
+    compile, and ``ParseError`` naming either file when it cannot be read
+    as a file and the term file when it is not UTF-8.
     """
     patterns = _compile_patterns(Path(patterns_path)) if patterns_path else None
     terms: tuple[str, ...] = ()
     if terms_path:
         terms_path = Path(terms_path)
         try:
-            text = terms_path.read_bytes().decode("utf-8")
+            text = read_entry(terms_path).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{terms_path.name}: not valid UTF-8: {exc}") from None
         terms = tuple(line.strip() for line in text.splitlines() if line.strip())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import logging
 import sys
@@ -29,7 +30,7 @@ from .mapping import load_mapping_rules, map_corpus, mapping_coverage
 from .pipeline import RunConfig, cell_outcomes, compute_contrasts, contrast_family_pairs, evaluate
 from .plans import SOURCE_FIXTURE, ProposedPlan, iter_proposals, parse_proposal
 from .report import write_report
-from .util import json_field, read_json, record_json, write_json
+from .util import json_field, read_entry, read_json, record_json, write_json
 
 log = logging.getLogger("planvet")
 
@@ -66,7 +67,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     policy = load_policy(catalog_path, policy_path)
     incident = load_package(corpus_dir, args.incident_id, policy.catalog)
     plan = parse_proposal(
-        proposal_path.read_bytes(),
+        read_entry(proposal_path),
         policy.catalog,
         incident_id=args.incident_id,
         model_id=args.model or "",
@@ -207,21 +208,20 @@ def _llm_outcome_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
     boolean ``violated``.
     """
     rows = []
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            where = f"{path.name}:{number}"
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-                raise ParseError(f"{where}: not valid JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise ParseError(f"{where}: a run line must be a JSON object")
-            model_id, arm, incident_id = (
-                json_field(row, key, str, where, ParseError) for key in ("model_id", "arm", "incident_id")
-            )
-            violated = json_field(row, "violated", bool, where, ParseError)
-            if model_id:
-                rows.append(((model_id, arm), incident_id, violated))
+    for number, line in enumerate(io.BytesIO(read_entry(path)), 1):
+        where = f"{path.name}:{number}"
+        try:
+            row = json.loads(line)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ParseError(f"{where}: not valid JSON: {exc}") from None
+        if not isinstance(row, dict):
+            raise ParseError(f"{where}: a run line must be a JSON object")
+        model_id, arm, incident_id = (
+            json_field(row, key, str, where, ParseError) for key in ("model_id", "arm", "incident_id")
+        )
+        violated = json_field(row, "violated", bool, where, ParseError)
+        if model_id:
+            rows.append(((model_id, arm), incident_id, violated))
     return rows
 
 

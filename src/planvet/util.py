@@ -109,14 +109,17 @@ def json_names(directory: Path | str) -> list[str]:
 
 
 def read_entry(path: Path | str) -> bytes:
-    """The bytes of one listed entry.
+    """The bytes of one file, or of one listed directory entry.
 
-    An entry that cannot be read as a file (a directory named ``*.json``,
-    say) raises ``ParseError`` naming it.
+    A path that cannot be read as a file (a directory named ``*.json``,
+    say) raises ``ParseError`` naming it; a missing path raises
+    ``FileNotFoundError``.
     """
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except FileNotFoundError:
+        raise
     except OSError as exc:
         raise ParseError(f"{os.path.basename(path)}: cannot read: {exc.strerror or exc}") from exc
 
@@ -124,10 +127,11 @@ def read_entry(path: Path | str) -> bytes:
 def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, str]:
     """Read and parse one JSON file; returns it with the SHA-256 of the bytes parsed.
 
-    Bytes that are not UTF-8 or not JSON raise ``error`` naming the file.
+    Bytes that are not UTF-8 or not JSON raise ``error`` naming the file; a
+    path that cannot be read as a file (a directory, say) raises ``ParseError``.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = read_entry(path)
     try:
         document = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planvet import audit
 from planvet.audit import (
     DEFAULT_PRIVACY_PATTERNS,
     PrivacyFinding,
     _iter_strings,
     build_manifest,
+    load_gate_inputs,
     mask_excerpt,
     privacy_scan,
     release_gate,
@@ -65,6 +67,23 @@ class TestPrivacyScan:
         findings = privacy_scan([("p", doc)])
         assert [f.kind for f in findings] == ["ipv4"]
         assert findings[0].document_ref == "p.telemetry[0].command"
+
+    def test_clean_corpus_builds_no_locations(self, bundle, monkeypatch):
+        # Locations are built only for a document with a hit; the fixture corpus has none.
+        patterns, terms = load_gate_inputs(bundle / "privacy_patterns.json", bundle / "forbidden_terms.txt")
+        documents = [(path.name, read_json(path)) for path in sorted((bundle / "corpus").glob("*.json"))]
+
+        def no_locations(obj, path):
+            raise AssertionError(f"locations built for {path}")
+
+        monkeypatch.setattr(audit, "_iter_strings", no_locations)
+        assert privacy_scan(documents, terms, patterns) == []
+
+    def test_repeated_value_gives_one_finding_per_leaf(self):
+        docs = [("d", {"a": "10.1.2.3", "b": ["10.1.2.3", "x", "10.1.2.3"]})]
+        findings = privacy_scan(docs)
+        assert [(f.document_ref, f.kind) for f in findings] == [("d.a", "ipv4"), ("d.b[0]", "ipv4"), ("d.b[2]", "ipv4")]
+        assert findings == reference_privacy_scan(docs)
 
 
 def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):

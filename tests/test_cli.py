@@ -644,6 +644,13 @@ def _contrast(bad_line):
     return argv
 
 
+def _contrast_over_directory(bundle, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([[["m", "a"], ["m", "b"]]]))
+    return ["contrast", "--metrics", _directory(bundle, tmp_path), "--family", str(family),
+            "--output", str(tmp_path / "out" / "contrasts.json")]
+
+
 def _config_fields(**fields):
     return lambda bundle, tmp_path: ["evaluate", "--config", str(_config_file(bundle, tmp_path, **fields))]
 
@@ -667,6 +674,13 @@ def _proposals_with_directory(bundle, tmp_path):
     proposals = shutil.copytree(bundle / "proposals", tmp_path / "proposals")
     (proposals / "inc_0001__m__a.json").mkdir()
     return [*_config_fields()(bundle, tmp_path), "--proposals-dir", str(proposals)]
+
+
+def _directory(bundle, tmp_path):
+    """An empty directory named like the one input file it stands in for."""
+    path = tmp_path / "d.json"
+    path.mkdir()
+    return str(path)
 
 
 def _scope_commands(document):
@@ -728,6 +742,22 @@ MALFORMED_INPUTS = [
                  "ParseError", "zz.json: cannot read: Is a directory", id="corpus-directory-entry"),
     pytest.param(_proposals_with_directory,
                  "ParseError", "inc_0001__m__a.json: cannot read: Is a directory", id="proposals-directory-entry"),
+    pytest.param(lambda b, t: _verify_args(b, _directory(b, t)),
+                 "ParseError", "d.json: cannot read: Is a directory", id="verify-proposal-directory"),
+    pytest.param(_audit("--catalog", _directory),
+                 "ParseError", "d.json: cannot read: Is a directory", id="catalog-directory"),
+    pytest.param(lambda b, t: [*_config_fields()(b, t), "--policy", _directory(b, t)],
+                 "ParseError", "d.json: cannot read: Is a directory", id="policy-directory"),
+    pytest.param(lambda b, t: ["evaluate", "--config", _directory(b, t)],
+                 "ParseError", "d.json: cannot read: Is a directory", id="config-directory"),
+    pytest.param(_audit("--privacy-patterns", _directory),
+                 "ParseError", "d.json: cannot read: Is a directory", id="privacy-patterns-directory"),
+    pytest.param(_audit("--forbidden-terms", _directory),
+                 "ParseError", "d.json: cannot read: Is a directory", id="forbidden-terms-directory"),
+    pytest.param(_config_fields(catalog_path="missing.json"),
+                 "FileNotFound", "[Errno 2] No such file or directory", id="config-catalog-missing"),
+    pytest.param(_contrast_over_directory,
+                 "ParseError", "d.json: cannot read: Is a directory", id="contrast-metrics-directory"),
 ]
 
 
