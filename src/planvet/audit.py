@@ -24,6 +24,14 @@ from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
 from .util import canonical_json, read_entry, read_json, record_json, sha256_file, sha256_text
 
+try:
+    from re import _parser as _sre_parse  # Python 3.11+
+except ImportError:
+    import sre_parse as _sre_parse  # Python 3.10
+
+# POSSESSIVE_REPEAT (``a*+``) exists from Python 3.11 on.
+_REPEATS = {_sre_parse.MAX_REPEAT, _sre_parse.MIN_REPEAT, getattr(_sre_parse, "POSSESSIVE_REPEAT", None)}
+
 # Declared baseline pattern set, versioned and hash-tracked. Hostname and
 # user-id shapes are necessarily heuristic; the pattern file is an input,
 # not ground truth.
@@ -113,47 +121,91 @@ def _collect_values(obj, values: dict[str, None]) -> None:
             _collect_values(item, values)
 
 
+def required_characters(regex: re.Pattern) -> str:
+    """Characters that every match of ``regex`` consumes, sorted; a value lacking one has no match.
+
+    Read conservatively from the stdlib parse: a literal counts, a group unless it turns on
+    IGNORECASE, a repeat only with a minimum of 1 or more, an alternation with the characters
+    common to all its branches. Classes, lookarounds, backreferences and conditionals give
+    nothing, and so does a pattern with a global IGNORECASE.
+    """
+    if regex.flags & re.IGNORECASE:
+        return ""
+    return "".join(sorted(_required(_sre_parse.parse(regex.pattern, regex.flags))))
+
+
+def _required(items) -> set[str]:
+    chars: set[str] = set()
+    for op, av in items:
+        if op is _sre_parse.LITERAL:
+            chars.add(chr(av))
+        elif op is _sre_parse.SUBPATTERN and not av[1] & re.IGNORECASE:
+            chars |= _required(av[3])
+        elif op in _REPEATS and av[0]:
+            chars |= _required(av[2])
+        elif op is _sre_parse.BRANCH:
+            chars |= set.intersection(*map(_required, av[1]))
+    return chars
+
+
+def prepare_scan(forbidden_terms: Sequence[str] = (), patterns: Mapping[str, str | re.Pattern] | None = None):
+    """``privacy_scan``'s inputs, prepared once: (kind, regex, required characters) per
+    pattern in kind order, and (term, lowered term) per non-empty term."""
+    if patterns is None:
+        patterns = DEFAULT_PRIVACY_PATTERNS
+    compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
+    return (
+        [(kind, regex, required_characters(regex)) for kind, regex in compiled],
+        [(term, term.lower()) for term in forbidden_terms if term],
+    )
+
+
 def privacy_scan(
     documents: Iterable[tuple[str, object]],
     forbidden_terms: Sequence[str] = (),
     patterns: Mapping[str, str | re.Pattern] | None = None,
+    *,
+    prepared: tuple[list, list] | None = None,
 ) -> list[PrivacyFinding]:
     """Scan every text field of every document; deterministic finding order.
 
     ``documents`` is an iterable of (document_ref, parsed JSON object).
     Findings, not errors: an empty list means the scan passed.
+    ``prepared`` (``prepare_scan(forbidden_terms, patterns)``), when given,
+    is used in place of ``forbidden_terms`` and ``patterns``.
 
     Each string value is matched on its own, so ``^`` and ``$`` anchor to
     that value. Per document, each distinct value is matched once: one
-    ``search`` sweep per pattern and one substring sweep per term mark the
+    ``search`` sweep per pattern, over the values holding all its
+    ``required_characters``, and one substring sweep per term mark the
     values that hit. Only if some value hit is the document walked again
     with locations, and findings are built for each leaf holding a marked
     value. A value has findings exactly when it is marked.
     Forbidden terms match case-insensitively; their positions and excerpts
     refer to the original value, also where lowering changes its length.
     """
-    if patterns is None:
-        patterns = DEFAULT_PRIVACY_PATTERNS
-    compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
-    needles = [term.lower() for term in forbidden_terms if term]
+    compiled, terms = prepare_scan(forbidden_terms, patterns) if prepared is None else prepared
     findings: list[PrivacyFinding] = []
     for document_ref, obj in documents:
         distinct: dict[str, None] = {}
         _collect_values(obj, distinct)
         texts = list(distinct)
         marked: set[str] = set()
-        for _, regex in compiled:
-            marked.update(compress(texts, map(regex.search, texts)))
-        if needles:
+        for _, regex, required in compiled:
+            candidates = texts
+            for char in required:
+                candidates = list(compress(candidates, map(operator.contains, candidates, repeat(char))))
+            marked.update(compress(candidates, map(regex.search, candidates)))
+        if terms:
             lowered_texts = [text.lower() for text in texts]
-            for needle in needles:
+            for _, needle in terms:
                 marked.update(compress(texts, map(operator.contains, lowered_texts, repeat(needle))))
         if not marked:
             continue
         for path, text in _iter_strings(obj, document_ref):
             if text not in marked:
                 continue
-            for kind, regex in compiled:
+            for kind, regex, _ in compiled:
                 for match in regex.finditer(text):
                     findings.append(
                         PrivacyFinding(
@@ -167,10 +219,9 @@ def privacy_scan(
             # Lowering can lengthen a value ('İ' becomes two characters): then
             # map each offset in the lowered text to the character it came from.
             origin = None if len(lowered) == len(text) else [i for i, ch in enumerate(text) for _ in ch.lower()]
-            for term in forbidden_terms:
+            for term, needle in terms:
                 start = 0
-                needle = term.lower()
-                while needle:
+                while True:
                     found = lowered.find(needle, start)
                     if found < 0:
                         break
@@ -258,8 +309,7 @@ class ReleaseGate:
     ) -> None:
         self.catalog = catalog
         self.mapping_rules = mapping_rules
-        self.forbidden_terms = forbidden_terms
-        self.patterns = patterns
+        self.scan = prepare_scan(forbidden_terms, patterns)
         self.files = 0
         self.findings = 0
         self.parse_failures: list[str] = []
@@ -271,7 +321,7 @@ class ReleaseGate:
         self.files += 1
         # Every parsed document is scanned, schema-valid or not.
         self.findings += len(
-            privacy_scan([(package.name, package.document)], self.forbidden_terms, self.patterns)
+            privacy_scan([(package.name, package.document)], prepared=self.scan)
         )
         if package.defect is not None:
             self.parse_failures.append(str(package.defect))

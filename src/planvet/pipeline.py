@@ -55,6 +55,7 @@ CellKey = tuple[str, str]
 REQUIRED_PATHS = (
     "corpus_dir", "catalog_path", "policy_path", "mapping_rules_path", "proposals_dir", "output_dir",
 )
+PATH_FIELDS = (*REQUIRED_PATHS, "privacy_patterns_path", "forbidden_terms_path")
 
 
 def _is_pair(value: object, item_ok: Callable[[object], bool]) -> bool:
@@ -91,21 +92,22 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: Path | str, **overrides) -> "RunConfig":
-        """Load a config document; relative paths resolve against its directory.
+        """Load a config document; its relative paths resolve against its directory.
 
-        Keyword overrides replace document values; ``None`` overrides are
+        Keyword overrides replace document values as given, so a relative path
+        flag resolves against the working directory; ``None`` overrides are
         ignored so CLI flags only bite when actually given.
         """
         path = Path(path)
         document = read_json(path)
         if not isinstance(document, dict):
             raise ConfigInvalid(f"{path.name}: run config must be a JSON object")
-        obj = {**document, **{k: v for k, v in overrides.items() if v is not None}}
-        return cls.from_fields(obj, base=path.parent)
+        document = {k: path.parent / v if k in PATH_FIELDS and isinstance(v, str) else v for k, v in document.items()}
+        return cls.from_fields({**document, **{k: v for k, v in overrides.items() if v is not None}})
 
     @classmethod
-    def from_fields(cls, obj: Mapping, base: Path = Path()) -> "RunConfig":
-        """Build a config from document fields; relative paths resolve against ``base``.
+    def from_fields(cls, obj: Mapping) -> "RunConfig":
+        """Build a config from document fields; relative paths stay relative.
 
         ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
         every required path that is absent, and ``ConfigInvalid`` for a path
@@ -140,8 +142,7 @@ class RunConfig:
                 return None
             if not isinstance(value, (str, os.PathLike)):
                 raise ConfigInvalid(f"{key} must be a path string, got {value!r}")
-            value = Path(value)
-            return value if value.is_absolute() else base / value
+            return Path(value)
 
         contrast_family = contrast_family_pairs(obj.get("contrast_family", ()))
         return cls(

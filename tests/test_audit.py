@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
@@ -21,6 +22,7 @@ from planvet.audit import (
     mask_excerpt,
     privacy_scan,
     release_gate,
+    required_characters,
 )
 from planvet.errors import IoError, ReleaseGateFailed, SchemaError
 from planvet.pipeline import RunConfig, load_gated_corpus
@@ -135,6 +137,8 @@ FRAGMENTS = [
     "a@b.example", "ops@corp.com", "10.1.2.3", "fe80:0:0:0:0:1", "+14155550100", "555-123-4567",
     "db1.corp.internal", "user_1234", "uid-9876", "İstanbul", "i̇", "STRASSE", "straße", "ß", "ss",
     "ΣΙΣΥΦΟΣ", "σίσυφος", "ς", "x", "xx", "ab", "abc", "ba", "a", "b", " ", ".", "",
+    # Values holding the characters the patterns below require, so the narrowed sweeps find something.
+    "xBs", "xbs", "a.b", "aa.b", "@x", ".x", "ab.",
 ]
 TEXT = st.lists(st.sampled_from(FRAGMENTS) | st.text("abxsßİΣσς .@-1", max_size=6), max_size=4).map("".join)
 KEYS = st.sampled_from(["a", "b", "a.b", "x", "x[0]", "[0]", "", "İ"])
@@ -156,7 +160,8 @@ PATTERNS = st.dictionaries(
     st.sampled_from(["email", "ipv4", "anchor", "edge", "look", "empty", "forbidden_term", "z"]),
     st.sampled_from([
         r"^a", r"b$", r"\Aab", r"s\Z", r"\bx\b", r"\Bs", r"(?<=a)b", r"a(?!b)", r"(?<!x)x",
-        r"x*", r"ß|ss", r"(?i)σ", r"İ", *DEFAULT_PRIVACY_PATTERNS.values(),
+        r"x*", r"ß|ss", r"(?i)σ", r"İ", r"x(?i:b)s", r"(?:ab|ba)\.?", r"a{0,2}\.b", r"(?:@|\.)x",
+        *DEFAULT_PRIVACY_PATTERNS.values(),
     ]),
     max_size=4,
 ) | st.none()
@@ -209,6 +214,79 @@ class TestPrivacyScanDifferential:
         terms = ["i̇", "ss", "ß", "σ", "s"]
         assert privacy_scan(docs, terms) == reference_privacy_scan(docs, terms)
         assert privacy_scan(docs, terms)
+
+    def test_narrowed_sweeps_keep_every_finding(self):
+        # Each pattern requires characters some values lack; the values that hold them still hit.
+        docs = [("d", ["ops@corp.example", "10.0.0.1", "fe80:0:0:1", "xBs", "xbs", "no dots", "a.b"]), ("e", {"k": "x@y"})]
+        patterns = {**DEFAULT_PRIVACY_PATTERNS, "fold": r"x(?i:b)s", "dot": r"a{0,2}\.b"}
+        findings = privacy_scan(docs, (), patterns)
+        assert {f.kind for f in findings} == {"email", "ipv4", "ipv6", "fold", "dot"}
+        assert findings == reference_privacy_scan(docs, (), patterns)
+
+
+# A pattern grammar for the required-character analysis: literals (some
+# needing escapes), classes, anchors, lookarounds, scoped and global
+# IGNORECASE, backreferences and conditionals on group 1, greedy, lazy and
+# (3.11+) possessive repeats, and alternation.
+CHARS = "abAB.:@ "
+LITERAL = st.sampled_from([*map(re.escape, CHARS)])
+ATOM = LITERAL | LITERAL | st.sampled_from(["[ab]", "[^a]", "[.:]", ".", r"\w", "^", "$", r"\b", r"\B"])
+QUANTIFIERS = ["*", "+", "?", "{0,2}", "{1,2}", "{2}", "*?", "+?", "??", "{0,2}?", "{1,2}?"]
+if sys.version_info >= (3, 11):
+    QUANTIFIERS += ["*+", "++", "?+", "{1,2}+"]
+BEHIND = st.sampled_from([re.escape(c) for c in CHARS] + ["[ab]"])
+
+
+def _pattern_grammar(inner):
+    concatenation = st.lists(inner, min_size=2, max_size=3).map("".join)
+    return (
+        concatenation
+        | concatenation
+        | st.tuples(inner, st.sampled_from(QUANTIFIERS)).map(lambda t: f"(?:{t[0]}){t[1]}")
+        | st.lists(inner, min_size=2, max_size=3).map(lambda alts: "(?:" + "|".join(alts) + ")")
+        | inner.map(lambda p: f"(?i:{p})")
+        | st.tuples(st.sampled_from(["(?=", "(?!"]), inner).map(lambda t: f"{t[0]}{t[1]})")
+        | st.tuples(st.sampled_from(["(?<=", "(?<!"]), BEHIND).map(lambda t: f"{t[0]}{t[1]})")
+        | st.just(r"\1")
+        | st.tuples(inner, inner).map(lambda t: f"(?(1){t[0]}|{t[1]})")
+    )
+
+
+ITEM = st.recursive(ATOM, _pattern_grammar, max_leaves=6)
+# Group 1 is closed before the body, so every backreference and conditional compiles.
+SOUNDNESS_PATTERN = st.tuples(
+    st.sampled_from(["", "", "", "(?i)"]), st.text("abA.:@", max_size=2), st.lists(ITEM, min_size=1, max_size=4)
+).map(lambda t: f"{t[0]}({re.escape(t[1])})?{''.join(t[2])}")
+SOUNDNESS_VALUES = st.lists(st.text(CHARS, max_size=8), min_size=1, max_size=8)
+
+
+class TestRequiredCharacters:
+    def test_default_patterns(self):
+        required = {kind: required_characters(re.compile(expr)) for kind, expr in DEFAULT_PRIVACY_PATTERNS.items()}
+        assert required == {"email": ".@", "ipv4": ".", "ipv6": ":", "phone": "", "hostname": ".", "user_id": "u"}
+
+    @pytest.mark.parametrize(
+        "pattern, required",
+        [
+            ("abc", "abc"), ("a(?i:b)c", "ac"), ("(?i)abc", ""), ("ab|ac", "a"), ("x{0,3}y", "y"),
+            ("x{2,}y", "xy"), ("a+?b", "ab"), ("(a)\\1", "a"), ("(?=q)r", "r"), ("(?<!q)r", "r"),
+            ("[.]x", ".x"), ("[.:]x", "x"), ("(?x) a b ", "ab"), ("(a)?(?(1)b|c)", ""),
+        ],
+    )
+    def test_reading_of_the_parse(self, pattern, required):
+        assert required_characters(re.compile(pattern)) == required
+
+    @settings(max_examples=500, deadline=None)
+    @given(SOUNDNESS_PATTERN, SOUNDNESS_VALUES)
+    def test_a_value_lacking_a_required_character_has_no_match(self, pattern, values):
+        try:
+            regex = re.compile(pattern)
+        except re.error:
+            assume(False)
+        required = required_characters(regex)
+        for value in values + [value.swapcase() for value in values]:
+            if any(char not in value for char in required):
+                assert regex.search(value) is None, (pattern, value, required)
 
 
 class TestReleaseGate:
@@ -271,6 +349,21 @@ class TestReleaseGate:
         report = release_gate(tmp_path, catalog, mapping_rules)
         assert report.parseability_pass is False
         assert report.parse_failures[0].startswith("inc_0001.json: invalid JSON: ")
+
+    def test_each_pattern_is_parsed_once_per_gate(self, bundle, catalog, mapping_rules, monkeypatch):
+        patterns, terms = load_gate_inputs(bundle / "privacy_patterns.json", bundle / "forbidden_terms.txt")
+        parsed = []
+        parse = audit._sre_parse.parse
+
+        def counting_parse(pattern, *args, **kwargs):
+            parsed.append(pattern)
+            return parse(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(audit._sre_parse, "parse", counting_parse)
+        # 200 packages, each scanned with the patterns prepared once.
+        report = release_gate(bundle / "corpus", catalog, mapping_rules, forbidden_terms=terms, patterns=patterns)
+        assert report.privacy_pass
+        assert sorted(parsed) == sorted(regex.pattern for regex in patterns.values())
 
     def test_gate_is_stable_under_rerun(self, bundle, catalog, mapping_rules):
         first = release_gate(bundle / "corpus", catalog, mapping_rules)

@@ -212,6 +212,23 @@ class TestAuditAndMap:
                      "stability.json", "manifest.json", "corpus_manifest.json"):
             assert (out / name).exists(), name
 
+    def test_path_flags_resolve_against_the_working_directory(self, bundle, tmp_path, monkeypatch, capsys):
+        # The config's own paths ("corpus", ...) still resolve against its directory.
+        monkeypatch.chdir(tmp_path)
+        rel = Path(os.path.relpath(bundle, tmp_path))
+        code = main([
+            "evaluate",
+            "--config", str(rel / "config.json"),
+            "--privacy-patterns", str(rel / "privacy_patterns.json"),
+            "--forbidden-terms", str(rel / "forbidden_terms.txt"),
+            "--output-dir", "out",
+            "--rerun-label", "cwd",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert "outputs in out\n" in capsys.readouterr().out
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert not (bundle / "out" / "summary_cwd.json").exists()
+
     def test_empty_proposals_dir_is_an_error(self, bundle, tmp_path, capsys):
         empty = tmp_path / "없음"
         empty.mkdir()
