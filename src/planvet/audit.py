@@ -24,12 +24,8 @@ from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
 from .util import canonical_json, read_entry, read_json, record_json, sha256_file, sha256_text
 
-try:
-    from re import _parser as _sre_parse  # Python 3.11+
-except ImportError:
-    import sre_parse as _sre_parse  # Python 3.10
-
-# POSSESSIVE_REPEAT (``a*+``) exists from Python 3.11 on.
+# The regex parser is re._parser from Python 3.11 and re.sre_parse before; POSSESSIVE_REPEAT (a*+) is 3.11+.
+_sre_parse = getattr(re, "_parser", None) or re.sre_parse
 _REPEATS = {_sre_parse.MAX_REPEAT, _sre_parse.MIN_REPEAT, getattr(_sre_parse, "POSSESSIVE_REPEAT", None)}
 
 # Declared baseline pattern set, versioned and hash-tracked. Hostname and
@@ -122,14 +118,12 @@ def _collect_values(obj, values: dict[str, None]) -> None:
 
 
 def required_characters(regex: re.Pattern) -> str:
-    """Characters that every match of ``regex`` consumes, sorted; a value lacking one has no match.
+    """Characters that every match of ``regex`` consumes, sorted, read conservatively from its parse.
 
-    Read conservatively from the stdlib parse: a literal counts, a group unless it turns on
-    IGNORECASE, a repeat only with a minimum of 1 or more, an alternation with the characters
-    common to all its branches. Classes, lookarounds, backreferences and conditionals give
-    nothing, and so does a pattern with a global IGNORECASE.
+    A literal counts, a group unless it turns on IGNORECASE, a repeat with a minimum of 1 or more, an
+    alternation with what all its branches need; nothing else, and nothing under a global IGNORECASE.
     """
-    if regex.flags & re.IGNORECASE:
+    if regex.flags & re.IGNORECASE or not _PARSE_READABLE:
         return ""
     return "".join(sorted(_required(_sre_parse.parse(regex.pattern, regex.flags))))
 
@@ -148,9 +142,22 @@ def _required(items) -> set[str]:
     return chars
 
 
-def prepare_scan(forbidden_terms: Sequence[str] = (), patterns: Mapping[str, str | re.Pattern] | None = None):
-    """``privacy_scan``'s inputs, prepared once: (kind, regex, required characters) per
-    pattern in kind order, and (term, lowered term) per non-empty term."""
+def _reads_probe() -> bool:
+    """Whether ``_required`` still reads the private parse layout (a group's flags, a repeat's minimum)."""
+    try:
+        return _required(_sre_parse.parse(r"a(?i:b)c?(?:gh|hi)(k)+")) == {"a", "h", "k"}
+    except Exception:
+        return False
+
+
+_PARSE_READABLE = _reads_probe()  # where not, no pattern requires anything
+
+ScanInputs = tuple[list[tuple[str, re.Pattern, str]], list[tuple[str, str]]]
+
+
+def prepare_scan(forbidden_terms: Sequence[str] = (), patterns: Mapping[str, str | re.Pattern] | None = None) -> ScanInputs:
+    """``privacy_scan``'s inputs, prepared once for many calls: (kind, regex, required characters)
+    in kind order, and (term, lowered term) per non-empty term."""
     if patterns is None:
         patterns = DEFAULT_PRIVACY_PATTERNS
     compiled = [(kind, re.compile(expr)) for kind, expr in sorted(patterns.items())]
@@ -165,37 +172,44 @@ def privacy_scan(
     forbidden_terms: Sequence[str] = (),
     patterns: Mapping[str, str | re.Pattern] | None = None,
     *,
-    prepared: tuple[list, list] | None = None,
+    prepared: ScanInputs | None = None,
 ) -> list[PrivacyFinding]:
     """Scan every text field of every document; deterministic finding order.
 
     ``documents`` is an iterable of (document_ref, parsed JSON object).
     Findings, not errors: an empty list means the scan passed.
-    ``prepared`` (``prepare_scan(forbidden_terms, patterns)``), when given,
-    is used in place of ``forbidden_terms`` and ``patterns``.
+    Pass ``forbidden_terms`` and ``patterns`` or ``prepared = prepare_scan(...)``, not both.
 
     Each string value is matched on its own, so ``^`` and ``$`` anchor to
     that value. Per document, each distinct value is matched once: one
     ``search`` sweep per pattern, over the values holding all its
-    ``required_characters``, and one substring sweep per term mark the
+    ``required_characters`` (none if no value holds one), and one substring sweep per term mark the
     values that hit. Only if some value hit is the document walked again
     with locations, and findings are built for each leaf holding a marked
     value. A value has findings exactly when it is marked.
     Forbidden terms match case-insensitively; their positions and excerpts
     refer to the original value, also where lowering changes its length.
     """
-    compiled, terms = prepare_scan(forbidden_terms, patterns) if prepared is None else prepared
+    if prepared is None:
+        prepared = prepare_scan(forbidden_terms, patterns)
+    elif forbidden_terms or patterns is not None:
+        raise TypeError("privacy_scan takes prepared or forbidden_terms and patterns, not both")
+    compiled, terms = prepared
     findings: list[PrivacyFinding] = []
     for document_ref, obj in documents:
         distinct: dict[str, None] = {}
         _collect_values(obj, distinct)
         texts = list(distinct)
+        # A pattern requiring a character that no value holds cannot match here;
+        # otherwise it is searched in the values holding all its required characters.
+        held = "".join(texts)
         marked: set[str] = set()
         for _, regex, required in compiled:
-            candidates = texts
-            for char in required:
-                candidates = list(compress(candidates, map(operator.contains, candidates, repeat(char))))
-            marked.update(compress(candidates, map(regex.search, candidates)))
+            if all(char in held for char in required):
+                candidates = texts
+                for char in required:
+                    candidates = list(compress(candidates, map(operator.contains, candidates, repeat(char))))
+                marked.update(compress(candidates, map(regex.search, candidates)))
         if terms:
             lowered_texts = [text.lower() for text in texts]
             for _, needle in terms:
@@ -320,9 +334,7 @@ class ReleaseGate:
     def add(self, package: PackageFile) -> None:
         self.files += 1
         # Every parsed document is scanned, schema-valid or not.
-        self.findings += len(
-            privacy_scan([(package.name, package.document)], prepared=self.scan)
-        )
+        self.findings += len(privacy_scan([(package.name, package.document)], prepared=self.scan))
         if package.defect is not None:
             self.parse_failures.append(str(package.defect))
             return

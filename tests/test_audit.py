@@ -87,6 +87,17 @@ class TestPrivacyScan:
         assert [(f.document_ref, f.kind) for f in findings] == [("d.a", "ipv4"), ("d.b[0]", "ipv4"), ("d.b[2]", "ipv4")]
         assert findings == reference_privacy_scan(docs)
 
+    def test_prepared_inputs_replace_terms_and_patterns(self):
+        docs = [("d", {"a": "ops@corp.com", "b": "Project Nightfall"})]
+        prepared = audit.prepare_scan(["nightfall"], {"email": DEFAULT_PRIVACY_PATTERNS["email"]})
+        assert privacy_scan(docs, prepared=prepared) == privacy_scan(
+            docs, ["nightfall"], {"email": DEFAULT_PRIVACY_PATTERNS["email"]}
+        )
+        with pytest.raises(TypeError, match="not both"):
+            privacy_scan(docs, ["other"], prepared=prepared)
+        with pytest.raises(TypeError, match="not both"):
+            privacy_scan(docs, patterns={}, prepared=prepared)
+
 
 def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
     """The scan as first written, every pattern and term over every string leaf,
@@ -137,7 +148,7 @@ FRAGMENTS = [
     "a@b.example", "ops@corp.com", "10.1.2.3", "fe80:0:0:0:0:1", "+14155550100", "555-123-4567",
     "db1.corp.internal", "user_1234", "uid-9876", "İstanbul", "i̇", "STRASSE", "straße", "ß", "ss",
     "ΣΙΣΥΦΟΣ", "σίσυφος", "ς", "x", "xx", "ab", "abc", "ba", "a", "b", " ", ".", "",
-    # Values holding the characters the patterns below require, so the narrowed sweeps find something.
+    # Values holding the characters the patterns below require, so their sweeps run and find something.
     "xBs", "xbs", "a.b", "aa.b", "@x", ".x", "ab.",
 ]
 TEXT = st.lists(st.sampled_from(FRAGMENTS) | st.text("abxsßİΣσς .@-1", max_size=6), max_size=4).map("".join)
@@ -215,8 +226,9 @@ class TestPrivacyScanDifferential:
         assert privacy_scan(docs, terms) == reference_privacy_scan(docs, terms)
         assert privacy_scan(docs, terms)
 
-    def test_narrowed_sweeps_keep_every_finding(self):
-        # Each pattern requires characters some values lack; the values that hold them still hit.
+    def test_sweeps_skipped_by_required_characters_keep_every_finding(self):
+        # d holds every required character, so each pattern is searched there; e holds no '.',
+        # so the email, ipv4 and hostname sweeps are skipped there, and 'x@y' has no match anyway.
         docs = [("d", ["ops@corp.example", "10.0.0.1", "fe80:0:0:1", "xBs", "xbs", "no dots", "a.b"]), ("e", {"k": "x@y"})]
         patterns = {**DEFAULT_PRIVACY_PATTERNS, "fold": r"x(?i:b)s", "dot": r"a{0,2}\.b"}
         findings = privacy_scan(docs, (), patterns)
@@ -261,6 +273,16 @@ SOUNDNESS_VALUES = st.lists(st.text(CHARS, max_size=8), min_size=1, max_size=8)
 
 
 class TestRequiredCharacters:
+    def test_a_misread_parse_layout_requires_nothing(self, monkeypatch):
+        regex = re.compile("abc")  # compiled before the parser is patched below
+        assert audit._reads_probe()
+        monkeypatch.setattr(audit, "_REPEATS", set())  # as if a repeat's fields had moved
+        assert not audit._reads_probe()
+        monkeypatch.setattr(audit._sre_parse, "parse", lambda *args: [(None, ())])
+        assert not audit._reads_probe()
+        monkeypatch.setattr(audit, "_PARSE_READABLE", False)
+        assert required_characters(regex) == ""
+
     def test_default_patterns(self):
         required = {kind: required_characters(re.compile(expr)) for kind, expr in DEFAULT_PRIVACY_PATTERNS.items()}
         assert required == {"email": ".@", "ipv4": ".", "ipv6": ":", "phone": "", "hostname": ".", "user_id": "u"}
