@@ -92,29 +92,37 @@ def mask_excerpt(text: str) -> str:
 
 
 def _iter_strings(obj, path: str):
-    if isinstance(obj, str):
-        yield path, obj
-    elif isinstance(obj, Mapping):
-        for key in obj:
-            yield from _iter_strings(obj[key], f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for idx, item in enumerate(obj):
-            yield from _iter_strings(item, f"{path}[{idx}]")
+    """(location, value) of each string leaf of ``obj``, in document order.
+
+    Walks with its own stack, so any document the JSON decoder accepts can
+    be walked, however deeply it nests.
+    """
+    stack = [(path, obj)]
+    while stack:
+        path, obj = stack.pop()
+        if isinstance(obj, str):
+            yield path, obj
+        elif isinstance(obj, Mapping):
+            stack.extend((f"{path}.{key}", value) for key, value in reversed(list(obj.items())))
+        elif isinstance(obj, (list, tuple)):
+            stack.extend((f"{path}[{idx}]", obj[idx]) for idx in reversed(range(len(obj))))
 
 
 def _collect_values(obj, values: dict[str, None]) -> None:
     """Add each string leaf of ``obj`` to ``values``.
 
-    Visits the leaves ``_iter_strings`` visits, but builds no locations.
+    Visits the leaves ``_iter_strings`` visits, in no set order, with its
+    own stack, and builds no locations.
     """
-    if isinstance(obj, str):
-        values[obj] = None
-    elif isinstance(obj, Mapping):
-        for value in obj.values():
-            _collect_values(value, values)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _collect_values(item, values)
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, str):
+            values[obj] = None
+        elif isinstance(obj, Mapping):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
 
 
 def required_characters(regex: re.Pattern) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import logging
 import sys
 from itertools import chain
@@ -30,7 +29,7 @@ from .mapping import load_mapping_rules, map_corpus, mapping_coverage
 from .pipeline import RunConfig, cell_outcomes, compute_contrasts, contrast_family_pairs, evaluate
 from .plans import SOURCE_FIXTURE, ProposedPlan, iter_proposals, parse_proposal
 from .report import write_report
-from .util import json_field, read_entry, read_json, record_json, write_json
+from .util import decode_json, json_field, make_output_dir, read_entry, read_json, record_json, write_json
 
 log = logging.getLogger("planvet")
 
@@ -146,8 +145,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         forbidden_terms=terms,
         patterns=patterns,
     )
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_output_dir(args.output_dir)
     write_json(output_dir / "gate_report.json", report.to_json_obj())
     manifest_inputs = [args.catalog, args.mapping_rules]
     write_json(output_dir / "manifest.json", build_manifest(manifest_inputs), rounded=False)
@@ -172,8 +170,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         "ambiguous": [[task, list(candidates)] for task, candidates in result.ambiguous],
         **record_json(coverage),
     }
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_output_dir(args.output_dir)
     write_json(output_dir / "mapping_report.json", doc)
     print(
         f"mapped {result.support.mapped_tasks}/{result.support.total_tasks} tasks, "
@@ -189,7 +186,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
     family = contrast_family_pairs(read_json(family_path), f"{family_path.name}: contrast family")
     contrasts = compute_contrasts(cell_outcomes(_llm_outcome_rows(metrics_path)), family)
     output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(output.parent)
     write_json(output, {"contrasts": [c.to_json_obj() for c in contrasts]})
     for contrast in contrasts:
         print(
@@ -211,8 +208,8 @@ def _llm_outcome_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
     for number, line in enumerate(io.BytesIO(read_entry(path)), 1):
         where = f"{path.name}:{number}"
         try:
-            row = json.loads(line)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            row = decode_json(line)
+        except ValueError as exc:
             raise ParseError(f"{where}: not valid JSON: {exc}") from None
         if not isinstance(row, dict):
             raise ParseError(f"{where}: a run line must be a JSON object")
@@ -280,8 +277,7 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
         streams.append(_probe_plans(_existing(args.probes, "ProbesNotFound"), policy.catalog))
 
     report = activation_check(corpus, policy, chain.from_iterable(streams))
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_output_dir(args.output_dir)
     write_json(output_dir / "activation_report.json", report.to_json_obj())
     print(
         f"candidate surface: {report.candidate_actions} actions, {report.candidate_rules} rules; "

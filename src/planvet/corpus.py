@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, Mapping
 from .catalog import ActionCatalog
 from .errors import IncidentNotFound, ParseError, SchemaError
 from .plans import ARM_NONE, SOURCE_BASELINE, ProposedPlan
-from .util import json_names, read_entry, sha256_bytes
+from .util import decode_json, json_names, read_entry, sha256_bytes
 
 # Approval evidence derived from the task-to-action contract rather than
 # from recorded approval logs. The verifier accepts it; the release gate
@@ -29,7 +30,7 @@ from .util import json_names, read_entry, sha256_bytes
 PROXY_APPROVAL_SOURCE = "mapping_contract_proxy"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryEvent:
     event_type: str
     command: str = ""
@@ -37,21 +38,21 @@ class TelemetryEvent:
     labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApprovalEvidence:
     action_id: str
     source: str
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     task_id: str
     text: str
     order_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncidentPackage:
     incident_id: str
     category: str
@@ -274,7 +275,7 @@ def schema_defect(document: object) -> str | None:
 # Reading and loading
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageFile:
     """One corpus file, read once: its digest, parsed document and first defect."""
 
@@ -297,8 +298,8 @@ def read_package(path: Path | str) -> PackageFile:
         return PackageFile(name, "", defect=exc)
     digest = sha256_bytes(data)
     try:
-        document = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an oversized number
+        document = decode_json(data)
+    except ValueError as exc:  # not UTF-8, not JSON, nested too deeply, or an oversized number
         return PackageFile(name, digest, defect=ParseError(f"{name}: invalid JSON: {exc}"))
     found = schema_defect(document)
     defect = SchemaError(f"{name}: {found}") if found else None
@@ -366,7 +367,14 @@ def load_corpus(
 
 
 def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> IncidentPackage:
-    """Apply the semantic checks to a schema-valid document and build the package."""
+    """Apply the semantic checks to a schema-valid document and build the package.
+
+    Action ids are the catalog's own string objects, and the category fields
+    (category, severity, asset criticality, phase, event types, labels,
+    approval sources) are interned: a corpus holds each such value once.
+    Free text (commands, notes, tasks, indicators, case metadata) is kept as
+    parsed.
+    """
     if package_file.defect is not None:
         raise package_file.defect
     obj = package_file.document
@@ -376,12 +384,13 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
             f"{package_file.name}: filename must be <incident_id>.json (id is {incident_id!r})"
         )
 
-    mapped = tuple(obj["mapped_human_actions"])
-    for action in mapped:
+    mapped = []
+    for action in obj["mapped_human_actions"]:
         if action not in catalog:
             raise SchemaError(
                 f"{incident_id}: mapped action {action!r} does not resolve to the catalog"
             )
+        mapped.append(catalog.get(action).action_id)
 
     approvals = []
     for ev in obj["approvals"]:
@@ -390,12 +399,13 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
             raise SchemaError(
                 f"{incident_id}: approval evidence names unknown action {action!r}"
             )
-        if not catalog.get(action).approval_gate:
+        entry = catalog.get(action)
+        if not entry.approval_gate:
             raise SchemaError(
                 f"{incident_id}: approval evidence for {action!r} but the action "
                 "is not approval-gated"
             )
-        approvals.append(ApprovalEvidence(action, ev["source"], ev.get("note", "")))
+        approvals.append(ApprovalEvidence(entry.action_id, sys.intern(ev["source"]), ev.get("note", "")))
 
     tasks = []
     last_order = -1
@@ -410,21 +420,21 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
 
     return IncidentPackage(
         incident_id=incident_id,
-        category=obj["category"],
-        severity=obj["severity"],
-        asset_criticality=obj["asset_criticality"],
-        phase_id=obj["phase_id"],
+        category=sys.intern(obj["category"]),
+        severity=sys.intern(obj["severity"]),
+        asset_criticality=sys.intern(obj["asset_criticality"]),
+        phase_id=sys.intern(obj["phase_id"]),
         telemetry=tuple(
             TelemetryEvent(
-                event_type=ev["event_type"],
+                event_type=sys.intern(ev["event_type"]),
                 command=ev.get("command", ""),
                 indicators=tuple(ev.get("indicators", ())),
-                labels=tuple(ev.get("labels", ())),
+                labels=tuple(map(sys.intern, ev.get("labels", ()))),
             )
             for ev in obj["telemetry"]
         ),
         case_metadata=dict(obj["case_metadata"]),
-        mapped_human_actions=mapped,
+        mapped_human_actions=tuple(mapped),
         approvals=tuple(approvals),
         extracted_tasks=tuple(tasks),
         quality_trace=obj.get("quality_trace"),

@@ -51,7 +51,7 @@ VIOLATION_TYPE_BY_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationRecord:
     rule_id: str
     family: str
@@ -64,7 +64,7 @@ class ViolationRecord:
     to_json_obj = record_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnforcementResult:
     enforced_actions: tuple[str, ...]
     violations: tuple[ViolationRecord, ...]

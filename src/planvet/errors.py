@@ -114,7 +114,7 @@ class ConfigInvalid(PlanvetError):
 
 
 class IoError(PlanvetError):
-    """Manifest input file could not be read."""
+    """A manifest input could not be read, or an output could not be written."""
 
 
 class ReleaseGateFailed(PlanvetError):

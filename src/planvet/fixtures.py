@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .audit import DEFAULT_PRIVACY_PATTERNS
 from .plans import ARM_POLICY, ARM_ZERO
+from .util import make_output_dir
 
 N_INCIDENTS = 200
 
@@ -492,7 +493,7 @@ def build_bundle(dest: Path | str) -> Path:
     """Write the full fixture bundle under ``dest`` and return that path."""
     dest = Path(dest)
     for sub in ("corpus", "proposals", "richer", "schema"):
-        (dest / sub).mkdir(parents=True, exist_ok=True)
+        make_output_dir(dest / sub)
 
     _dump(dest / "catalog.json", official_catalog_obj())
     _dump(dest / "policy.json", official_policy_obj())

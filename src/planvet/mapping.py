@@ -31,7 +31,7 @@ class MappingRule:
         object.__setattr__(self, "_lowered_sets", lowered)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappedTask:
     task_id: str
     action_id: str

@@ -20,7 +20,7 @@ from .plans import ProposedPlan
 from .util import record_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunMetrics:
     incident_id: str
     model_id: str

@@ -44,7 +44,7 @@ from .metrics import (
     stability_report,
 )
 from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
-from .util import read_json, write_json
+from .util import make_output_dir, present_record, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -242,8 +242,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         config.contrast_family,
     )
 
-    enforced_dir = Path(config.output_dir) / "enforced"
-    enforced_dir.mkdir(parents=True, exist_ok=True)
+    enforced_dir = make_output_dir(Path(config.output_dir) / "enforced")
 
     runs: list[RunMetrics] = []
     baseline_runs: list[RunMetrics] = []
@@ -251,8 +250,12 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     coverage_loss = 0
     # The LLM runs in (incident, model, arm) order, then the baselines in
     # incident order: deterministic regardless of any future parallel execution.
+    # Each proposal is popped off the reversed list for its run, so none is held after it.
+    planned = len(proposals)
     proposals.sort(key=lambda p: (p.incident_id, p.model_id, p.arm))
-    for plan in chain(proposals, map(baselines.get, sorted(baselines))):
+    proposals.reverse()
+    consumed = (proposals.pop() for _ in range(planned))
+    for plan in chain(consumed, map(baselines.get, sorted(baselines))):
         try:
             incident = corpus.get(plan.incident_id)
             result = enforce(plan, policy, incident, config.approval_mode)
@@ -295,7 +298,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         contrasts=contrasts,
         runs=runs,
         baseline_runs=baseline_runs,
-        planned=len(proposals),
+        planned=planned,
         completed=len(runs),
         failures=failures,
         coverage_loss_runs=coverage_loss,
@@ -387,15 +390,12 @@ def _corpus_summary(
 # ---------------------------------------------------------------------------
 
 def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
-    from .util import present
-
     config = result.config
-    output_dir = Path(config.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_output_dir(config.output_dir)
 
     with open(output_dir / "metrics_runs.jsonl", "w", encoding="utf-8") as fh:
-        for run in result.runs + result.baseline_runs:
-            fh.write(json.dumps(present(run.to_json_obj()), sort_keys=True) + "\n")
+        for run in chain(result.runs, result.baseline_runs):
+            fh.write(json.dumps(present_record(run), sort_keys=True) + "\n")
 
     cell_objs = [result.cells[key].to_json_obj() for key in sorted(result.cells)]
     baseline_obj = None

@@ -8,15 +8,15 @@ no synonym matching, no case folding.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .catalog import ActionCatalog
 from .errors import MissingField, ParseError, WrongType
-from .util import json_names, read_entry
+from .util import decode_json, json_names, read_entry
 
 SOURCE_LLM = "llm_proposal"
 SOURCE_BASELINE = "human_baseline"
@@ -29,7 +29,7 @@ ARM_NONE = "none"
 CONTRACT_FIELD = "recommended_actions"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProposedPlan:
     incident_id: str
     source: str
@@ -54,14 +54,16 @@ def parse_proposal(
     """Parse one proposal document into a plan, filtering out-of-catalog actions.
 
     Extra fields in the document are ignored; duplicates in the contract
-    array are preserved (the plan is evidence, not a normalized set).
-    Bytes must be UTF-8. Raises ``ParseError`` (not UTF-8 or not JSON),
-    ``MissingField`` or ``WrongType``.
+    array are preserved (the plan is evidence, not a normalized set). Each
+    kept action is the catalog's own string object, so a corpus of plans
+    holds each action id once. Bytes must be UTF-8. Raises ``ParseError``
+    (not UTF-8, not JSON or nested too deeply), ``MissingField`` or
+    ``WrongType``.
     """
     if isinstance(document, (str, bytes)):
         try:
-            obj = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            obj = decode_json(document)
+        except ValueError as exc:
             raise ParseError(f"proposal for {incident_id}: not valid JSON: {exc}") from exc
     else:
         obj = document
@@ -81,7 +83,7 @@ def parse_proposal(
                 f"proposal for {incident_id}: {CONTRACT_FIELD}[{idx}] is not a string"
             )
         if token in catalog:  # byte equality only
-            actions.append(token)
+            actions.append(catalog.get(token).action_id)
         else:
             rejected.append(token)
 
@@ -107,9 +109,10 @@ def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[Pr
     """Parse every ``<incident_id>__<model>__<arm>.json`` proposal fixture, one at a time.
 
     Yielded in sorted filename order, which is also (incident, model, arm)
-    order for the shipped bundle naming scheme. A name that does not split
-    into three parts, or an entry that cannot be read (a directory named
-    ``*.json``, say), raises ``ParseError`` naming the file.
+    order for the shipped bundle naming scheme. Each plan's model and arm
+    are interned, one string object per distinct name. A name that does
+    not split into three parts, or an entry that cannot be read (a
+    directory named ``*.json``, say), raises ``ParseError`` naming the file.
     """
     for name in json_names(directory):
         parts = name.removesuffix(".json").split("__")
@@ -120,8 +123,8 @@ def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[Pr
             read_entry(os.path.join(directory, name)),
             catalog,
             incident_id=incident_id,
-            model_id=model_id,
-            arm=arm,
+            model_id=sys.intern(model_id),
+            arm=sys.intern(arm),
             source=SOURCE_LLM,
         )
 

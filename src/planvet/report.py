@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .util import read_json, round4
+from .util import read_json, round4, write_text
 
 
 def _fmt(value, decimals: int = 4) -> str:
@@ -194,5 +194,5 @@ def write_report(output_dir: Path | str, defer_dir: Path | str | None = None,
     output_dir = Path(output_dir)
     text = render_report(output_dir, defer_dir)
     target = Path(out_path) if out_path else output_dir / "report.md"
-    target.write_text(text + "\n", encoding="utf-8")
+    write_text(target, text + "\n")
     return target

@@ -11,7 +11,7 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError
+from .errors import IoError, ParseError
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -33,6 +33,11 @@ def sha256_file(path: Path | str) -> str:
 @cache
 def _public_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
+
+
+@cache
+def _float_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type in ("float", float))
 
 
 def record_json(record: Any) -> dict:
@@ -83,15 +88,50 @@ def present(obj: Any) -> Any:
     return obj
 
 
+def present_record(record: Any) -> dict:
+    """``present(record_json(record))`` for a flat record, rounding only its ``float`` fields.
+
+    Serializes to the same JSON as ``present`` gives, without walking the
+    other values; each field declared ``float`` must hold a float.
+    """
+    obj = record_json(record)
+    for name in _float_fields(type(record)):
+        obj[name] = round4(obj[name])
+    return obj
+
+
+def write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` as UTF-8; a path that cannot be written raises ``IoError`` naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_output_dir(path: Path | str) -> Path:
+    """Create the directory ``path`` and its parents where missing.
+
+    A path that cannot be a directory (an existing file, a file among its
+    parents) raises ``IoError`` naming it.
+    """
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def write_json(path: Path | str, obj: Any, *, rounded: bool = True) -> None:
     """Write a deterministic JSON document (sorted keys, trailing newline).
 
     Rounding reaches floats in dicts and lists only: a record nested in
-    ``obj`` is serialized unrounded, through ``record_json``.
+    ``obj`` is serialized unrounded, through ``record_json``. A path that
+    cannot be written raises ``IoError`` naming it.
     """
     payload = present(obj) if rounded else obj
     text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, default=record_json)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text(path, text + "\n")
 
 
 def json_names(directory: Path | str) -> list[str]:
@@ -124,17 +164,32 @@ def read_entry(path: Path | str) -> bytes:
         raise ParseError(f"{os.path.basename(path)}: cannot read: {exc.strerror or exc}") from exc
 
 
+def decode_json(data: bytes | str) -> Any:
+    """``json.loads`` of text or UTF-8 bytes, where every decode failure is a ``ValueError``.
+
+    Bytes that are not UTF-8 (``UnicodeDecodeError``), text that is not JSON
+    (``JSONDecodeError``) and a document nested deeper than the decoder can
+    recurse (``RecursionError`` inside ``json``) all raise ``ValueError``, so
+    each caller names its own error from one ``except ValueError``.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def read_json_document(path: Path | str, error: type[Exception]) -> tuple[Any, str]:
     """Read and parse one JSON file; returns it with the SHA-256 of the bytes parsed.
 
-    Bytes that are not UTF-8 or not JSON raise ``error`` naming the file; a
-    path that cannot be read as a file (a directory, say) raises ``ParseError``.
+    Bytes that are not UTF-8, not JSON or nested too deeply raise ``error``
+    naming the file; a path that cannot be read as a file (a directory, say)
+    raises ``ParseError``.
     """
     path = Path(path)
     data = read_entry(path)
     try:
-        document = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        document = decode_json(data)
+    except ValueError as exc:
         raise error(f"{path.name}: not valid JSON: {exc}") from exc
     return document, sha256_bytes(data)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 
@@ -234,6 +235,34 @@ class TestPrivacyScanDifferential:
         findings = privacy_scan(docs, (), patterns)
         assert {f.kind for f in findings} == {"email", "ipv4", "ipv6", "fold", "dot"}
         assert findings == reference_privacy_scan(docs, (), patterns)
+
+
+def recursive_iter_strings(obj, path):
+    """The leaf walk as first written, recursing once per level."""
+    if isinstance(obj, str):
+        yield path, obj
+    elif isinstance(obj, Mapping):
+        for key in obj:
+            yield from recursive_iter_strings(obj[key], f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for idx, item in enumerate(obj):
+            yield from recursive_iter_strings(item, f"{path}[{idx}]")
+
+
+class TestLeafWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(TREE | COLLIDING)
+    def test_leaves_in_document_order(self, tree):
+        assert list(_iter_strings(tree, "d")) == list(recursive_iter_strings(tree, "d"))
+
+    def test_any_depth_is_scanned(self):
+        # Deeper than a walk with one Python frame per level can go.
+        depth = 5 * sys.getrecursionlimit()
+        doc = "blueharbor"
+        for _ in range(depth):
+            doc = {"k": [doc]}
+        findings = privacy_scan([("d", doc)], ["blueharbor"], {})
+        assert findings == [PrivacyFinding("d" + ".k[0]" * depth, "forbidden_term", "bl******or", 0)]
 
 
 # A pattern grammar for the required-character analysis: literals (some

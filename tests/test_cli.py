@@ -604,6 +604,15 @@ def test_directory_entry_is_an_audit_parse_failure(bundle, tmp_path):
     assert report["parseability_pass"] is False
 
 
+def test_package_nested_too_deeply_is_an_audit_parse_failure(bundle, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _audit("--corpus-dir", _corpus_with_nested)(bundle, tmp_path)
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "gate_report.json").read_text())
+    assert report["parse_failures"] == ["inc_0001.json: invalid JSON: nested too deeply"]
+
+
 # ---------------------------------------------------------------------------
 # Malformed inputs: each is a named error, exit 1, no traceback, no output
 # ---------------------------------------------------------------------------
@@ -704,6 +713,65 @@ def _scope_commands(document):
     return _first(document, scope={**document[0]["scope"], "command_contains": "bash"})
 
 
+DEEP = 100_000  # far past the JSON decoder's recursion limit
+
+
+def _nested_proposal(bundle, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text('{"recommended_actions": ' + "[" * DEEP + "]" * DEEP + "}")
+    return str(path)
+
+
+def _proposals_with_nested(bundle, tmp_path):
+    proposals = shutil.copytree(bundle / "proposals", tmp_path / "proposals")
+    shutil.copyfile(_nested_proposal(bundle, tmp_path), min(proposals.glob("inc_0001__*.json")))
+    return str(proposals)
+
+
+def _corpus_with_nested(bundle, tmp_path):
+    """A corpus copy whose inc_0001 holds a ``quality_trace`` nested far too deeply to decode."""
+    corpus = shutil.copytree(bundle / "corpus", tmp_path / "corpus")
+    text = (corpus / "inc_0001.json").read_text()
+    (corpus / "inc_0001.json").write_text(
+        text.replace('"quality_trace": {', '"quality_trace": {"deep": ' + '{"a": ' * DEEP + "1" + "}" * DEEP + ", ", 1)
+    )
+    return str(corpus)
+
+
+def _file(bundle, tmp_path):
+    """A plain file where an output directory is expected."""
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
+def _with(argv, *extra):
+    """``argv`` followed by each flag in ``extra`` with the value its maker returns."""
+    def build(bundle, tmp_path):
+        pairs = [[flag, make(bundle, tmp_path)] for flag, make in zip(extra[::2], extra[1::2])]
+        return [*argv(bundle, tmp_path), *(item for pair in pairs for item in pair)]
+    return build
+
+
+def _verify_proposal(bundle, tmp_path):
+    path = tmp_path / "proposal.json"
+    path.write_text(json.dumps({"recommended_actions": ["restore_host"]}))
+    return _verify_args(bundle, path)
+
+
+def _activation(bundle, tmp_path):
+    return ["activation-check", "--corpus-dir", str(bundle / "corpus"),
+            "--catalog", str(bundle / "richer" / "candidate_catalog.json"),
+            "--policy", str(bundle / "richer" / "candidate_policy.json"),
+            "--plan-source", "baselines", "--output-dir", str(tmp_path / "out")]
+
+
+def _report_into_directory(bundle, tmp_path):
+    evaluated = tmp_path / "evaluated"
+    assert main([*_config_fields()(bundle, tmp_path), "--skip-gates", "--output-dir", str(evaluated)]) == 0
+    return ["report", "--output-dir", str(evaluated), "--out", _directory(bundle, tmp_path)]
+
+
 MALFORMED_INPUTS = [
     pytest.param(_evaluate("--catalog", "catalog.json", lambda d: [1]),
                  "CatalogError", "catalog.json: entry 0 must be a JSON object, got 1", id="catalog-entry-not-object"),
@@ -775,6 +843,37 @@ MALFORMED_INPUTS = [
                  "FileNotFound", "[Errno 2] No such file or directory", id="config-catalog-missing"),
     pytest.param(_contrast_over_directory,
                  "ParseError", "d.json: cannot read: Is a directory", id="contrast-metrics-directory"),
+    # Nested deeper than the JSON decoder can recurse: a named error, not a RecursionError.
+    pytest.param(lambda b, t: _verify_args(b, _nested_proposal(b, t)),
+                 "ParseError", "proposal for inc_0007: not valid JSON: nested too deeply", id="verify-nested-proposal"),
+    pytest.param(_with(_config_fields(), "--proposals-dir", _proposals_with_nested),
+                 "ParseError", "proposal for inc_0001: not valid JSON: nested too deeply",
+                 id="evaluate-nested-proposal"),
+    pytest.param(_with(_config_fields(), "--corpus-dir", _corpus_with_nested),
+                 "ReleaseGateFailed", "release gate failed: privacy=True parseability=False",
+                 id="evaluate-nested-package"),
+    pytest.param(_with(_activation, "--corpus-dir", _corpus_with_nested),
+                 "ParseError", "inc_0001.json: invalid JSON: nested too deeply", id="activation-nested-package"),
+    pytest.param(_contrast("[" * DEEP), "ParseError", "metrics.jsonl:2: not valid JSON: nested too deeply",
+                 id="contrast-nested-line"),
+    # An output path that cannot be written: IoError naming it.
+    pytest.param(_with(_verify_proposal, "--output", _directory),
+                 "IoError", "cannot write ", id="verify-output-directory"),
+    pytest.param(_with(_config_fields(), "--output-dir", _file),
+                 "IoError", "cannot create output directory ", id="evaluate-output-dir-file"),
+    pytest.param(_audit("--output-dir", _file),
+                 "IoError", "cannot create output directory ", id="audit-output-dir-file"),
+    pytest.param(lambda b, t: ["map", "--corpus-dir", str(b / "corpus"), "--catalog", str(b / "catalog.json"),
+                               "--mapping-rules", str(b / "mapping_rules.json"), "--output-dir", _file(b, t)],
+                 "IoError", "cannot create output directory ", id="map-output-dir-file"),
+    pytest.param(_with(_contrast('{"model_id": "m", "arm": "b", "incident_id": "inc_0001", "violated": false}'),
+                       "--output", _directory),
+                 "IoError", "cannot write ", id="contrast-output-directory"),
+    pytest.param(_report_into_directory, "IoError", "cannot write ", id="report-out-directory"),
+    pytest.param(_with(_activation, "--output-dir", _file),
+                 "IoError", "cannot create output directory ", id="activation-output-dir-file"),
+    pytest.param(lambda b, t: ["make-fixtures", "--dest", _file(b, t)],
+                 "IoError", "cannot create output directory ", id="make-fixtures-dest-file"),
 ]
 
 

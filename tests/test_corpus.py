@@ -70,6 +70,27 @@ class TestLoadCorpus:
             for approval in pkg.approvals:
                 assert approval.action_id in catalog
 
+    def test_action_ids_are_the_catalog_strings(self, bundle, corpus, catalog):
+        packages = [*corpus, load_package(bundle / "corpus", "inc_0001", catalog)]
+        for pkg in packages:
+            for action in pkg.mapped_human_actions:
+                assert action is catalog.get(action).action_id
+            for approval in pkg.approvals:
+                assert approval.action_id is catalog.get(approval.action_id).action_id
+
+    def test_each_category_value_is_held_once(self, corpus):
+        values = [
+            value
+            for pkg in corpus
+            for value in (
+                pkg.category, pkg.severity, pkg.asset_criticality, pkg.phase_id,
+                *(ev.source for ev in pkg.approvals),
+                *(ev.event_type for ev in pkg.telemetry),
+                *(label for ev in pkg.telemetry for label in ev.labels),
+            )
+        ]
+        assert len({id(value) for value in values}) == len(set(values))
+
 
 class TestBaselinePlan:
     def test_projection_preserves_order_and_multiplicity(self, corpus):
@@ -212,6 +233,12 @@ class TestCorpusIndex:
         first = corpus.get("inc_0001")
         second = replace(first, severity="critical")
         assert Corpus(packages=(first, second)).get("inc_0001") is first
+
+
+def test_proposal_model_and_arm_are_held_once(bundle, catalog):
+    plans = list(iter_proposals(bundle / "proposals", catalog))
+    names = [name for plan in plans for name in (plan.model_id, plan.arm)]
+    assert len({id(name) for name in names}) == len(set(names)) == 4
 
 
 class TestLoadPackage:

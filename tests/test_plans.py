@@ -65,6 +65,18 @@ class TestParseProposal:
         with pytest.raises(ParseError):
             _parse("{not json", catalog)
 
+    def test_nesting_deeper_than_the_decoder_is_a_parse_error(self, catalog):
+        doc = '{"recommended_actions": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ParseError, match="proposal for inc_0001: not valid JSON: nested too deeply"):
+            _parse(doc, catalog)
+
+    def test_kept_actions_are_the_catalog_strings(self, catalog):
+        doc = '{"recommended_actions": ["restore_host", "Restore Host", "isolate_host", "restore_host"]}'
+        plan = _parse(doc, catalog)
+        assert plan.actions == ("restore_host", "isolate_host", "restore_host")
+        assert all(action is catalog.get(action).action_id for action in plan.actions)
+        assert plan.out_of_catalog == ("Restore Host",)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(CATALOG_IDS + ("Isolate Host", "open ticket", "")), max_size=12))
     def test_partition_preserves_relative_order(self, catalog, tokens):

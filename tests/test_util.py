@@ -1,12 +1,23 @@
-"""Presentation rounding: the fast path must match the Decimal rounding bit for bit."""
+"""Presentation rounding and the per-item record types.
+
+The rounding fast path must match the Decimal rounding bit for bit.
+"""
 
 from __future__ import annotations
 
+import json
 import random
 import struct
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
-from planvet.util import round4
+import pytest
+
+from planvet.corpus import ApprovalEvidence, IncidentPackage, PackageFile, TaskRecord, TelemetryEvent
+from planvet.engine import EnforcementResult, ViolationRecord
+from planvet.mapping import MappedTask
+from planvet.metrics import RunMetrics
+from planvet.plans import ProposedPlan
+from planvet.util import present, present_record, record_json, round4
 
 
 def _decimal_round4(value: float) -> float:
@@ -54,3 +65,24 @@ def test_round4_matches_decimal_on_edge_values():
              123456789012345678.0, 9007199254740993.0, 1e300, 5e-324, 0.9999, 0.99995, 1, 7]
     for value in edges:
         assert _outcome(round4, value) == _outcome(_decimal_round4, value), value
+
+
+def test_present_record_serializes_as_present(official_eval, defer_eval):
+    for run in [*official_eval.runs, *official_eval.baseline_runs, *defer_eval.runs]:
+        assert json.dumps(present_record(run), sort_keys=True) == json.dumps(present(record_json(run)), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Record types: one per run, package or file, so each is slotted
+# ---------------------------------------------------------------------------
+
+RECORD_TYPES = [
+    ProposedPlan, IncidentPackage, TelemetryEvent, ApprovalEvidence, TaskRecord,
+    PackageFile, ViolationRecord, EnforcementResult, RunMetrics, MappedTask,
+]
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_record_type_is_slotted(record_type):
+    assert "__slots__" in vars(record_type)
+    assert record_type.__dictoffset__ == 0  # instances carry no __dict__
