@@ -184,7 +184,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
     metrics_path = _existing(args.metrics, "MetricsNotFound")
     family_path = _existing(args.family, "FamilyNotFound")
     family = contrast_family_pairs(read_json(family_path), f"{family_path.name}: contrast family")
-    contrasts = compute_contrasts(cell_outcomes(_llm_outcome_rows(metrics_path)), family)
+    contrasts = compute_contrasts(cell_outcomes(_llm_outcome_rows(metrics_path)), family, drop_unpaired=True)
     output = Path(args.output)
     make_output_dir(output.parent)
     write_json(output, {"contrasts": [c.to_json_obj() for c in contrasts]})

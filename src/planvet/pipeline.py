@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
@@ -28,6 +28,7 @@ from .errors import (
     ConfigInvalid,
     EmptyCell,
     EmptyEvaluation,
+    IncidentNotFound,
     ParseError,
     ReleaseGateFailed,
     SchemaError,
@@ -44,7 +45,7 @@ from .metrics import (
     stability_report,
 )
 from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
-from .util import make_output_dir, present_record, read_json, write_json
+from .util import make_output_dir, present_record, read_json, write_chunks, write_json
 
 log = logging.getLogger(__name__)
 
@@ -226,11 +227,14 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     mapping_rules, _mapping_sha = load_mapping_rules(config.mapping_rules_path)
 
     corpus = load_gated_corpus(config, catalog, mapping_rules)
+    # Only the packages, digests and count are kept, so each package can be
+    # released once its incident's runs are done.
+    packages = {pkg.incident_id: pkg for pkg in corpus}
+    digests, planned_baselines = corpus.digests, len(corpus)
+    del corpus
     proposals = load_proposals(config.proposals_dir, catalog)
     if not proposals:
         raise EmptyEvaluation(f"no proposal documents under {config.proposals_dir}")
-
-    baselines = {pkg.incident_id: baseline_plan(pkg) for pkg in corpus}
 
     # Fail fast on a contrast family whose cells cannot pair up: check it on
     # the planned runs before anything is enforced or written. Proposals for
@@ -238,7 +242,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     # outcome table is kept: at 2k incidents the two would hold about 0.6 MB
     # until the outputs are written.
     compute_contrasts(
-        cell_outcomes((p.cell(), p.incident_id, False) for p in proposals if p.incident_id in baselines),
+        cell_outcomes((p.cell(), p.incident_id, False) for p in proposals if p.incident_id in packages),
         config.contrast_family,
     )
 
@@ -246,48 +250,58 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 
     runs: list[RunMetrics] = []
     baseline_runs: list[RunMetrics] = []
-    failures: list[dict] = []
+    llm_failures: list[dict] = []
+    baseline_failures: list[dict] = []
     coverage_loss = 0
-    # The LLM runs in (incident, model, arm) order, then the baselines in
-    # incident order: deterministic regardless of any future parallel execution.
-    # Each proposal is popped off the reversed list for its run, so none is held after it.
+    # Incident by incident in id order: its proposals in (model, arm) order,
+    # then its baseline. Each proposal is popped off the reversed sorted list
+    # for its run, and each package and baseline plan is dropped after the
+    # incident's baseline run. ``runs`` then lists the LLM runs in (incident,
+    # model, arm) order and ``baseline_runs`` the baselines in incident order.
     planned = len(proposals)
     proposals.sort(key=lambda p: (p.incident_id, p.model_id, p.arm))
     proposals.reverse()
-    consumed = (proposals.pop() for _ in range(planned))
-    for plan in chain(consumed, map(baselines.get, sorted(baselines))):
-        try:
-            incident = corpus.get(plan.incident_id)
-            result = enforce(plan, policy, incident, config.approval_mode)
-            metrics = run_metrics(plan, result, baselines[plan.incident_id])
-        except Exception as exc:  # never silently dropped: counted and logged
-            log.error("run failed: %s/%s/%s: %s", plan.incident_id, plan.model_id, plan.arm, exc)
-            failures.append(
-                {
-                    "incident_id": plan.incident_id,
-                    "model_id": plan.model_id,
-                    "arm": plan.arm,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            continue
-        if plan.source == SOURCE_BASELINE:
-            baseline_runs.append(metrics)
-            label = BASELINE_LABEL
-        else:
-            runs.append(metrics)
-            coverage_loss += _lost_coverage(plan, result, baselines[plan.incident_id])
-            label = plan.model_id
-        name = f"{plan.incident_id}__{label}__{plan.arm}.json"
-        write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
+    for incident_id in sorted(packages.keys() | {p.incident_id for p in proposals}):
+        package = packages.pop(incident_id, None)  # None for an orphan proposal's incident
+        baseline = None if package is None else baseline_plan(package)
+        for plan in chain(_popped(proposals, incident_id), () if baseline is None else (baseline,)):
+            try:
+                if package is None:
+                    raise IncidentNotFound(plan.incident_id)
+                result = enforce(plan, policy, package, config.approval_mode)
+                metrics = run_metrics(plan, result, baseline)
+            except Exception as exc:  # never silently dropped: counted and logged
+                log.error("run failed: %s/%s/%s: %s", plan.incident_id, plan.model_id, plan.arm, exc)
+                failures = baseline_failures if plan.source == SOURCE_BASELINE else llm_failures
+                failures.append(
+                    {
+                        "incident_id": plan.incident_id,
+                        "model_id": plan.model_id,
+                        "arm": plan.arm,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                )
+                continue
+            if plan.source == SOURCE_BASELINE:
+                baseline_runs.append(metrics)
+                label = BASELINE_LABEL
+            else:
+                runs.append(metrics)
+                coverage_loss += _lost_coverage(plan, result, baseline)
+                label = plan.model_id
+            name = f"{plan.incident_id}__{label}__{plan.arm}.json"
+            write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
+        del package, baseline
 
     cells = _aggregate_cells(runs, config.confidence)
     # Failed baselines are in ``failures``; with none left there is no baseline cell.
     baseline_cell = aggregate(baseline_runs, config.confidence) if baseline_runs else None
 
+    # A failed run drops its incident from the contrasts that involve its cell.
     contrasts = compute_contrasts(
         cell_outcomes(((run.model_id, run.arm), run.incident_id, run.violated) for run in runs),
         config.contrast_family,
+        drop_unpaired=True,
     )
 
     evaluation = EvaluationResult(
@@ -300,12 +314,18 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         baseline_runs=baseline_runs,
         planned=planned,
         completed=len(runs),
-        failures=failures,
+        failures=llm_failures + baseline_failures,
         coverage_loss_runs=coverage_loss,
         summary=_corpus_summary(config.rerun_label, cells, runs, coverage_loss),
     )
-    _write_outputs(evaluation, corpus)
+    _write_outputs(evaluation, digests, planned_baselines)
     return evaluation
+
+
+def _popped(proposals: list[ProposedPlan], incident_id: str) -> Iterator[ProposedPlan]:
+    """Pop the proposals for ``incident_id`` off the end of the reversed sorted list, in order."""
+    while proposals and proposals[-1].incident_id == incident_id:
+        yield proposals.pop()
 
 
 def _lost_coverage(plan: ProposedPlan, result, baseline: ProposedPlan) -> bool:
@@ -335,19 +355,25 @@ def cell_outcomes(rows: Iterable[tuple[CellKey, str, bool]]) -> dict[CellKey, di
 def compute_contrasts(
     outcomes: Mapping[CellKey, Mapping[str, bool]],
     family: Sequence[tuple[CellKey, CellKey]],
+    *,
+    drop_unpaired: bool = False,
 ) -> list[ContrastResult]:
     """Paired contrasts over the declared family, Holm-adjusted once across it.
 
     ``outcomes`` maps each cell to its ``{incident_id: violated}`` flags. A
-    declared cell with no runs raises ``EmptyCell``.
+    declared cell with no runs raises ``EmptyCell``. Two cells whose
+    incident sets differ raise ``KeyMismatch``, unless ``drop_unpaired``:
+    then each contrast pairs the incidents both of its cells hold.
     """
     missing = sorted({cell for pair in family for cell in pair} - outcomes.keys())
     if missing:
         raise EmptyCell(f"declared contrast cells with no runs: {', '.join(map(cell_name, missing))}")
-    contrasts = [
-        paired_contrast(outcomes[cell_a], outcomes[cell_b], cell_a, cell_b)
-        for cell_a, cell_b in family
-    ]
+    contrasts = []
+    for cell_a, cell_b in family:
+        a, b = outcomes[cell_a], outcomes[cell_b]
+        if drop_unpaired and a.keys() != b.keys():
+            a, b = ({k: v for k, v in side.items() if k in other} for side, other in ((a, b), (b, a)))
+        contrasts.append(paired_contrast(a, b, cell_a, cell_b))
     if contrasts:
         adjusted = holm_adjust([c.mcnemar_p for c in contrasts])
         for contrast, holm_p in zip(contrasts, adjusted):
@@ -389,13 +415,14 @@ def _corpus_summary(
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
+def _write_outputs(result: EvaluationResult, digests: Mapping[str, str], planned_baselines: int) -> None:
     config = result.config
     output_dir = make_output_dir(config.output_dir)
 
-    with open(output_dir / "metrics_runs.jsonl", "w", encoding="utf-8") as fh:
-        for run in chain(result.runs, result.baseline_runs):
-            fh.write(json.dumps(present_record(run), sort_keys=True) + "\n")
+    write_chunks(
+        output_dir / "metrics_runs.jsonl",
+        (json.dumps(present_record(run), sort_keys=True) + "\n" for run in chain(result.runs, result.baseline_runs)),
+    )
 
     cell_objs = [result.cells[key].to_json_obj() for key in sorted(result.cells)]
     baseline_obj = None
@@ -415,12 +442,12 @@ def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
     report = stability_report(summaries, labels)
     write_json(output_dir / "stability.json", report.to_json_obj())
 
-    write_json(output_dir / "corpus_manifest.json", dict(sorted(corpus.digests.items())), rounded=False)
+    write_json(output_dir / "corpus_manifest.json", dict(sorted(digests.items())), rounded=False)
 
     manifest = build_manifest(
         [config.catalog_path, config.policy_path, config.mapping_rules_path],
         extra={
-            "corpus_files": len(corpus.digests),
+            "corpus_files": len(digests),
             "policy_sha256": result.policy.source_sha256,
             "approval_mode": config.approval_mode,
             "confidence": config.confidence,
@@ -430,7 +457,7 @@ def _write_outputs(result: EvaluationResult, corpus: Corpus) -> None:
                 "completed_llm_runs": result.completed,
                 "failed_llm_runs": result.planned - result.completed,
                 "failures": result.failures,
-                "planned_baselines": len(corpus),
+                "planned_baselines": planned_baselines,
                 "completed_baselines": len(result.baseline_runs),
             },
         },

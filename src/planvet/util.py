@@ -9,7 +9,7 @@ from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import IoError, ParseError
 
@@ -100,12 +100,18 @@ def present_record(record: Any) -> dict:
     return obj
 
 
-def write_text(path: Path | str, text: str) -> None:
-    """Write ``text`` as UTF-8; a path that cannot be written raises ``IoError`` naming it."""
+def write_chunks(path: Path | str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order as UTF-8; a path that cannot be written raises ``IoError`` naming it."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` as UTF-8; a path that cannot be written raises ``IoError`` naming it."""
+    write_chunks(path, (text,))
 
 
 def make_output_dir(path: Path | str) -> Path:

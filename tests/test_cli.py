@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -590,6 +591,129 @@ def test_every_baseline_failing_still_writes_the_bundle(bundle, tmp_path, monkey
     }
     assert main(["report", "--output-dir", str(out)]) == 0
     assert "| human baseline | 0 | - | - | - | - | - | - |" in (out / "report.md").read_text()
+
+
+BUNDLE_FILES = ("metrics_runs.jsonl", "cell_summaries.json", "contrasts.json", "summary_r1.json",
+                "stability.json", "manifest.json", "corpus_manifest.json")
+
+
+def _failing_enforce(monkeypatch, *failing):
+    """Make ``pipeline.enforce`` raise for each ``(incident_id, model_id, arm)`` in ``failing``."""
+    from planvet import pipeline
+
+    real_enforce = pipeline.enforce
+
+    def enforce(plan, *args):
+        if (plan.incident_id, plan.model_id, plan.arm) in failing:
+            raise RuntimeError("injected")
+        return real_enforce(plan, *args)
+
+    monkeypatch.setattr(pipeline, "enforce", enforce)
+
+
+def test_failed_llm_run_drops_its_incident_from_its_contrasts(bundle, tmp_path, monkeypatch):
+    _failing_enforce(monkeypatch, ("inc_0001", "gpt-5.2", "llm_zero"))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 0
+    for name in BUNDLE_FILES:
+        assert (out / name).exists(), name
+    assert len(list((out / "enforced").iterdir())) == 999
+    accounting = json.loads((out / "manifest.json").read_text())["run_accounting"]
+    assert accounting["failed_llm_runs"] == 1
+    assert accounting["failures"] == [
+        {"incident_id": "inc_0001", "model_id": "gpt-5.2", "arm": "llm_zero", "error": "RuntimeError: injected"}
+    ]
+    contrasts = json.loads((out / "contrasts.json").read_text())["contrasts"]
+    assert len(contrasts) == 6
+    for contrast in contrasts:
+        involved = ["gpt-5.2", "llm_zero"] in (contrast["cell_a"], contrast["cell_b"])
+        assert contrast["n_pairs"] == (199 if involved else 200), contrast
+    assert sum(c["n_pairs"] == 199 for c in contrasts) == 3
+    # `contrast` pairs a bundle's run rows by the same rule.
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(json.loads((bundle / "config.json").read_text())["contrast_family"]))
+    target = tmp_path / "contrasts.json"
+    assert main(["contrast", "--metrics", str(out / "metrics_runs.jsonl"), "--family", str(family),
+                 "--output", str(target)]) == 0
+    assert target.read_bytes() == (out / "contrasts.json").read_bytes()
+
+
+def _with_orphan_proposal(bundle, tmp_path):
+    """A copy of the bundle's proposals plus ``inc_0001z__gpt-5.2__llm_zero.json``, whose incident is not in the corpus."""
+    proposals = shutil.copytree(bundle / "proposals", tmp_path / "proposals")
+    shutil.copy(proposals / "inc_0001__gpt-5.2__llm_zero.json", proposals / "inc_0001z__gpt-5.2__llm_zero.json")
+    return proposals
+
+
+def test_orphan_proposal_fails_as_a_run_and_the_bundle_is_written(bundle, tmp_path):
+    out = tmp_path / "out"
+    proposals = _with_orphan_proposal(bundle, tmp_path)
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--proposals-dir", str(proposals),
+                 "--output-dir", str(out)]) == 0
+    for name in BUNDLE_FILES:
+        assert (out / name).exists(), name
+    accounting = json.loads((out / "manifest.json").read_text())["run_accounting"]
+    assert (accounting["planned_llm_runs"], accounting["completed_llm_runs"]) == (801, 800)
+    assert accounting["failures"] == [
+        {"incident_id": "inc_0001z", "model_id": "gpt-5.2", "arm": "llm_zero", "error": "IncidentNotFound: inc_0001z"}
+    ]
+
+
+def test_failures_list_llm_runs_in_order_then_baselines(bundle, tmp_path, monkeypatch):
+    _failing_enforce(monkeypatch, ("inc_0150", "claude-sonnet-4-6", "llm_zero"), ("inc_0002", "", "none"))
+    out = tmp_path / "out"
+    proposals = _with_orphan_proposal(bundle, tmp_path)
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--proposals-dir", str(proposals),
+                 "--output-dir", str(out)]) == 0
+    accounting = json.loads((out / "manifest.json").read_text())["run_accounting"]
+    assert [(f["incident_id"], f["model_id"], f["arm"]) for f in accounting["failures"]] == [
+        ("inc_0001z", "gpt-5.2", "llm_zero"),
+        ("inc_0150", "claude-sonnet-4-6", "llm_zero"),
+        ("inc_0002", "", "none"),
+    ]
+
+
+def test_evaluate_releases_each_package_after_its_incident(bundle, tmp_path, monkeypatch):
+    from planvet import pipeline
+    from planvet.corpus import IncidentPackage
+    from planvet.plans import SOURCE_BASELINE
+
+    real_load, real_enforce = pipeline.load_gated_corpus, pipeline.enforce
+    loaded: set[int] = set()  # ids only: a reference here would keep every package alive
+    live_at_last_baseline = []
+
+    def load_gated_corpus(*args):
+        corpus = real_load(*args)
+        loaded.update(map(id, corpus))
+        return corpus
+
+    def enforce(plan, *args):
+        if plan.source == SOURCE_BASELINE and plan.incident_id == "inc_0200":
+            live_at_last_baseline.append(
+                sum(1 for obj in gc.get_objects() if id(obj) in loaded and isinstance(obj, IncidentPackage))
+            )
+        return real_enforce(plan, *args)
+
+    monkeypatch.setattr(pipeline, "load_gated_corpus", load_gated_corpus)
+    monkeypatch.setattr(pipeline, "enforce", enforce)
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(loaded) == 200
+    assert live_at_last_baseline == [1]
+
+
+def test_metrics_runs_path_that_is_a_directory_is_a_named_error(bundle, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics_runs.jsonl").mkdir(parents=True)
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"IoError: cannot write {out / 'metrics_runs.jsonl'}")
+    assert "Traceback" not in err
+
+
+def test_report_creates_the_parent_of_its_out_path(official_eval, tmp_path):
+    target = tmp_path / "new_dir" / "report.md"
+    assert main(["report", "--output-dir", str(official_eval.config.output_dir), "--out", str(target)]) == 0
+    assert target.read_text().startswith("# Evaluation report")
 
 
 def test_directory_entry_is_an_audit_parse_failure(bundle, tmp_path):
