@@ -19,10 +19,10 @@ from . import __version__ as _tool_version
 from .catalog import ActionCatalog, ValidatedPolicy
 from .corpus import PROXY_APPROVAL_SOURCE, Corpus, PackageFile, TaskRecord, read_packages
 from .engine import MODE_DEFER, MODE_REMOVE, enforce_modes, order_chain_depth
-from .errors import ConfigInvalid, IoError, ParseError
+from .errors import ConfigInvalid, ParseError
 from .mapping import MappingRule, map_tasks
 from .plans import ProposedPlan
-from .util import canonical_json, read_entry, read_json, record_json, sha256_file, sha256_text
+from .util import canonical_json, read_entry, read_json, record_json, sha256_text
 
 # The regex parser is re._parser from Python 3.11 and re.sre_parse before; POSSESSIVE_REPEAT (a*+) is 3.11+.
 _sre_parse = getattr(re, "_parser", None) or re.sre_parse
@@ -164,7 +164,7 @@ ScanInputs = tuple[list[tuple[str, re.Pattern, str]], list[tuple[str, str]]]
 
 
 def prepare_scan(forbidden_terms: Sequence[str] = (), patterns: Mapping[str, str | re.Pattern] | None = None) -> ScanInputs:
-    """``privacy_scan``'s inputs, prepared once for many calls: (kind, regex, required characters)
+    """``privacy_scan``'s inputs, built once for many calls: (kind, regex, required characters)
     in kind order, and (term, lowered term) per non-empty term."""
     if patterns is None:
         patterns = DEFAULT_PRIVACY_PATTERNS
@@ -175,18 +175,12 @@ def prepare_scan(forbidden_terms: Sequence[str] = (), patterns: Mapping[str, str
     )
 
 
-def privacy_scan(
-    documents: Iterable[tuple[str, object]],
-    forbidden_terms: Sequence[str] = (),
-    patterns: Mapping[str, str | re.Pattern] | None = None,
-    *,
-    prepared: ScanInputs | None = None,
-) -> list[PrivacyFinding]:
+def privacy_scan(documents: Iterable[tuple[str, object]], scan: ScanInputs) -> list[PrivacyFinding]:
     """Scan every text field of every document; deterministic finding order.
 
-    ``documents`` is an iterable of (document_ref, parsed JSON object).
+    ``documents`` is an iterable of (document_ref, parsed JSON object), and
+    ``scan`` the patterns and terms as ``prepare_scan`` returns them.
     Findings, not errors: an empty list means the scan passed.
-    Pass ``forbidden_terms`` and ``patterns`` or ``prepared = prepare_scan(...)``, not both.
 
     Each string value is matched on its own, so ``^`` and ``$`` anchor to
     that value. Per document, each distinct value is matched once: one
@@ -198,11 +192,7 @@ def privacy_scan(
     Forbidden terms match case-insensitively; their positions and excerpts
     refer to the original value, also where lowering changes its length.
     """
-    if prepared is None:
-        prepared = prepare_scan(forbidden_terms, patterns)
-    elif forbidden_terms or patterns is not None:
-        raise TypeError("privacy_scan takes prepared or forbidden_terms and patterns, not both")
-    compiled, terms = prepared
+    compiled, terms = scan
     findings: list[PrivacyFinding] = []
     for document_ref, obj in documents:
         distinct: dict[str, None] = {}
@@ -342,7 +332,7 @@ class ReleaseGate:
     def add(self, package: PackageFile) -> None:
         self.files += 1
         # Every parsed document is scanned, schema-valid or not.
-        self.findings += len(privacy_scan([(package.name, package.document)], prepared=self.scan))
+        self.findings += len(privacy_scan([(package.name, package.document)], self.scan))
         if package.defect is not None:
             self.parse_failures.append(str(package.defect))
             return
@@ -452,20 +442,15 @@ def activation_check(
 # Manifests
 # ---------------------------------------------------------------------------
 
-def build_manifest(paths: Sequence[Path | str], *, extra: Mapping | None = None) -> dict:
+def build_manifest(files: Mapping[str, str], *, extra: Mapping | None = None) -> dict:
     """Filename -> SHA-256 manifest with a content digest.
 
+    ``files`` maps each input's file name to the SHA-256 of the bytes its
+    loader parsed, so the manifest names exactly the inputs the run used.
     The timestamp is a sidecar field excluded from the content digest, so
     manifests of identical inputs compare equal where it matters.
     """
-    files: dict[str, str] = {}
-    for path in paths:
-        path = Path(path)
-        try:
-            files[path.name] = sha256_file(path)
-        except OSError as exc:
-            raise IoError(f"cannot hash {path}: {exc}") from exc
-    body = {"files": files, "tool_version": _tool_version}
+    body = {"files": dict(files), "tool_version": _tool_version}
     if extra:
         body.update(extra)
     content_sha = sha256_text(canonical_json(body))

@@ -53,6 +53,14 @@ def _existing(path: str | Path, error_name: str) -> Path:
     return path
 
 
+def _directory(path: str | Path, error_name: str) -> Path:
+    """``path`` if it names a directory; a missing path or a file raises ``error_name``."""
+    path = Path(path)
+    if not path.is_dir():
+        raise NamedCliError(error_name, str(path))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -60,7 +68,7 @@ def _existing(path: str | Path, error_name: str) -> Path:
 def cmd_verify(args: argparse.Namespace) -> int:
     catalog_path = _existing(args.catalog, "CatalogNotFound")
     policy_path = _existing(args.policy, "PolicyNotFound")
-    corpus_dir = _existing(args.corpus_dir, "CorpusNotFound")
+    corpus_dir = _directory(args.corpus_dir, "CorpusNotFound")
     proposal_path = _existing(args.proposal, "ProposalNotFound")
 
     policy = load_policy(catalog_path, policy_path)
@@ -136,10 +144,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     catalog = load_catalog(_existing(args.catalog, "CatalogNotFound"))
-    mapping_rules, _sha = load_mapping_rules(_existing(args.mapping_rules, "MappingRulesNotFound"))
+    mapping_rules, mapping_sha = load_mapping_rules(_existing(args.mapping_rules, "MappingRulesNotFound"))
     patterns, terms = load_gate_inputs(args.privacy_patterns, args.forbidden_terms)
     report = release_gate(
-        _existing(args.corpus_dir, "CorpusNotFound"),
+        _directory(args.corpus_dir, "CorpusNotFound"),
         catalog,
         mapping_rules,
         forbidden_terms=terms,
@@ -147,8 +155,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     output_dir = make_output_dir(args.output_dir)
     write_json(output_dir / "gate_report.json", report.to_json_obj())
-    manifest_inputs = [args.catalog, args.mapping_rules]
-    write_json(output_dir / "manifest.json", build_manifest(manifest_inputs), rounded=False)
+    files = {Path(args.catalog).name: catalog.source_sha256, Path(args.mapping_rules).name: mapping_sha}
+    write_json(output_dir / "manifest.json", build_manifest(files), rounded=False)
     status = "PASS" if report.overall_pass else "FAIL"
     print(f"release gate: {status} (privacy={report.privacy_pass} "
           f"parseability={report.parseability_pass} mapping={report.mapping_pass})")
@@ -160,7 +168,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     catalog = load_catalog(_existing(args.catalog, "CatalogNotFound"))
     mapping_rules, rules_sha = load_mapping_rules(_existing(args.mapping_rules, "MappingRulesNotFound"))
-    corpus = load_corpus(_existing(args.corpus_dir, "CorpusNotFound"), catalog)
+    corpus = load_corpus(_directory(args.corpus_dir, "CorpusNotFound"), catalog)
     result = map_corpus(corpus, mapping_rules, catalog)
     coverage = mapping_coverage(result, catalog)
     doc = {
@@ -260,7 +268,7 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
         _existing(args.catalog, "CatalogNotFound"),
         _existing(args.policy, "PolicyNotFound"),
     )
-    corpus = load_corpus(_existing(args.corpus_dir, "CorpusNotFound"), policy.catalog)
+    corpus = load_corpus(_directory(args.corpus_dir, "CorpusNotFound"), policy.catalog)
 
     # Baselines, then proposals, then probes, each produced as it is checked.
     streams = []
@@ -270,7 +278,7 @@ def cmd_activation_check(args: argparse.Namespace) -> int:
     if sources in ("proposals", "all"):
         if not args.proposals_dir:
             raise NamedCliError("ProposalsDirRequired", "plan source includes proposals")
-        streams.append(iter_proposals(_existing(args.proposals_dir, "ProposalsNotFound"), policy.catalog))
+        streams.append(iter_proposals(_directory(args.proposals_dir, "ProposalsNotFound"), policy.catalog))
     if sources in ("probes", "all"):
         if not args.probes:
             raise NamedCliError("ProbesRequired", "plan source includes probes")

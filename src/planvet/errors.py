@@ -114,7 +114,7 @@ class ConfigInvalid(PlanvetError):
 
 
 class IoError(PlanvetError):
-    """A manifest input could not be read, or an output could not be written."""
+    """An output could not be written."""
 
 
 class ReleaseGateFailed(PlanvetError):

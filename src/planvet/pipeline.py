@@ -218,13 +218,21 @@ def _require_pass(report: GateReport) -> None:
 # ---------------------------------------------------------------------------
 
 def evaluate(config: RunConfig) -> EvaluationResult:
-    """Run the declared evaluation and write the output bundle."""
+    """Run the declared evaluation and write the output bundle.
+
+    A ``corpus_dir`` or ``proposals_dir`` that is not a directory raises
+    ``ConfigInvalid`` before any input is read.
+    """
     from .mapping import load_mapping_rules
 
+    for key in ("corpus_dir", "proposals_dir"):
+        path = getattr(config, key)
+        if not path.is_dir():
+            raise ConfigInvalid(f"{key} {path} is not a directory")
     catalog = load_catalog(config.catalog_path)
     rules, policy_sha = load_policy_rules(config.policy_path)
     policy = validate_policy(catalog, rules, source_sha256=policy_sha)
-    mapping_rules, _mapping_sha = load_mapping_rules(config.mapping_rules_path)
+    mapping_rules, mapping_sha = load_mapping_rules(config.mapping_rules_path)
 
     corpus = load_gated_corpus(config, catalog, mapping_rules)
     # Only the packages, digests and count are kept, so each package can be
@@ -318,7 +326,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         coverage_loss_runs=coverage_loss,
         summary=_corpus_summary(config.rerun_label, cells, runs, coverage_loss),
     )
-    _write_outputs(evaluation, digests, planned_baselines)
+    _write_outputs(evaluation, mapping_sha, digests, planned_baselines)
     return evaluation
 
 
@@ -415,7 +423,7 @@ def _corpus_summary(
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _write_outputs(result: EvaluationResult, digests: Mapping[str, str], planned_baselines: int) -> None:
+def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[str, str], planned_baselines: int) -> None:
     config = result.config
     output_dir = make_output_dir(config.output_dir)
 
@@ -445,7 +453,11 @@ def _write_outputs(result: EvaluationResult, digests: Mapping[str, str], planned
     write_json(output_dir / "corpus_manifest.json", dict(sorted(digests.items())), rounded=False)
 
     manifest = build_manifest(
-        [config.catalog_path, config.policy_path, config.mapping_rules_path],
+        {
+            config.catalog_path.name: result.policy.catalog.source_sha256,
+            config.policy_path.name: result.policy.source_sha256,
+            config.mapping_rules_path.name: mapping_sha,
+        },
         extra={
             "corpus_files": len(digests),
             "policy_sha256": result.policy.source_sha256,

@@ -7,6 +7,7 @@ recomputed here.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 from .util import make_output_dir, read_json, round4, write_text
@@ -107,15 +108,16 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
 
     # -- rule burden -----------------------------------------------------------
     rule_ids = sorted({r for c in cells_doc["cells"] for r in c["rule_counts"]})
-    accounting = manifest.get("run_accounting", {})
+    failed = Counter((run["model_id"], run["arm"]) for run in manifest.get("run_accounting", {}).get("failures", ()))
     rows = []
     for cell in cells_doc["cells"]:
+        n, f = cell["n_runs"], failed[cell["model_id"], cell["arm"]]
         rows.append(
             [
                 _cell_label(cell["model_id"], cell["arm"]),
-                f"{cell['n_runs']}/{cell['n_runs']}",
+                f"{n}/{n + f}",
                 *[str(cell["rule_counts"].get(r, 0)) for r in rule_ids],
-                str(accounting.get("failed_llm_runs", 0)),
+                str(f),
             ]
         )
     sections += [

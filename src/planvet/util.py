@@ -22,14 +22,6 @@ def sha256_text(text: str) -> str:
     return sha256_bytes(text.encode("utf-8"))
 
 
-def sha256_file(path: Path | str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @cache
 def _public_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))

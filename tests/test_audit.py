@@ -21,11 +21,14 @@ from planvet.audit import (
     build_manifest,
     load_gate_inputs,
     mask_excerpt,
+    prepare_scan,
     privacy_scan,
     release_gate,
     required_characters,
 )
-from planvet.errors import IoError, ReleaseGateFailed, SchemaError
+from planvet.catalog import load_catalog, load_policy_rules
+from planvet.errors import ReleaseGateFailed, SchemaError
+from planvet.mapping import load_mapping_rules
 from planvet.pipeline import RunConfig, load_gated_corpus
 from planvet.util import read_json
 
@@ -34,19 +37,19 @@ class TestPrivacyScan:
     def test_email_and_ipv4_found(self):
         # oracle: the field contains exactly one address of each kind
         doc = {"note": "contact admin@corp.example from 10.1.2.3"}
-        findings = privacy_scan([("doc1", doc)])
+        findings = privacy_scan([("doc1", doc)], prepare_scan())
         kinds = [f.kind for f in findings]
         assert kinds == ["email", "ipv4"]
         assert all("admin@corp.example" not in f.excerpt for f in findings)
         assert findings[0].document_ref == "doc1.note"
 
     def test_empty_corpus(self):
-        assert privacy_scan([]) == []
+        assert privacy_scan([], prepare_scan()) == []
 
     def test_forbidden_terms(self):
         findings = privacy_scan(
             [("d", {"x": "refers to Project BLUEHARBOR twice: blueharbor"})],
-            forbidden_terms=["blueharbor"],
+            prepare_scan(forbidden_terms=["blueharbor"]),
         )
         assert [f.kind for f in findings] == ["forbidden_term", "forbidden_term"]
 
@@ -59,15 +62,15 @@ class TestPrivacyScan:
             ("b", {"k": "10.0.0.1 then user_1234"}),
             ("a", {"k": "mail me: a@b.example"}),
         ]
-        first = privacy_scan(docs)
-        second = privacy_scan(list(docs))
+        first = privacy_scan(docs, prepare_scan())
+        second = privacy_scan(list(docs), prepare_scan())
         assert first == second
         refs = [f.document_ref for f in first]
         assert refs == sorted(refs)
 
     def test_nested_fields_scanned(self):
         doc = {"telemetry": [{"command": "curl http://198.51.100.7/x"}]}
-        findings = privacy_scan([("p", doc)])
+        findings = privacy_scan([("p", doc)], prepare_scan())
         assert [f.kind for f in findings] == ["ipv4"]
         assert findings[0].document_ref == "p.telemetry[0].command"
 
@@ -80,24 +83,13 @@ class TestPrivacyScan:
             raise AssertionError(f"locations built for {path}")
 
         monkeypatch.setattr(audit, "_iter_strings", no_locations)
-        assert privacy_scan(documents, terms, patterns) == []
+        assert privacy_scan(documents, prepare_scan(terms, patterns)) == []
 
     def test_repeated_value_gives_one_finding_per_leaf(self):
         docs = [("d", {"a": "10.1.2.3", "b": ["10.1.2.3", "x", "10.1.2.3"]})]
-        findings = privacy_scan(docs)
+        findings = privacy_scan(docs, prepare_scan())
         assert [(f.document_ref, f.kind) for f in findings] == [("d.a", "ipv4"), ("d.b[0]", "ipv4"), ("d.b[2]", "ipv4")]
         assert findings == reference_privacy_scan(docs)
-
-    def test_prepared_inputs_replace_terms_and_patterns(self):
-        docs = [("d", {"a": "ops@corp.com", "b": "Project Nightfall"})]
-        prepared = audit.prepare_scan(["nightfall"], {"email": DEFAULT_PRIVACY_PATTERNS["email"]})
-        assert privacy_scan(docs, prepared=prepared) == privacy_scan(
-            docs, ["nightfall"], {"email": DEFAULT_PRIVACY_PATTERNS["email"]}
-        )
-        with pytest.raises(TypeError, match="not both"):
-            privacy_scan(docs, ["other"], prepared=prepared)
-        with pytest.raises(TypeError, match="not both"):
-            privacy_scan(docs, patterns={}, prepared=prepared)
 
 
 def reference_privacy_scan(documents, forbidden_terms=(), patterns=None):
@@ -189,24 +181,24 @@ class TestPrivacyScanDifferential:
     def test_same_findings_as_every_leaf_scan(self, documents, terms, patterns):
         expected = reference_privacy_scan(documents, terms, patterns)
         assume(expected)
-        assert privacy_scan(documents, terms, patterns) == expected
+        assert privacy_scan(documents, prepare_scan(terms, patterns)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS, TERMS, PATTERNS)
     def test_compiled_patterns_give_the_same_findings(self, documents, terms, patterns):
         compiled = None if patterns is None else {k: re.compile(v) for k, v in patterns.items()}
-        assert privacy_scan(documents, terms, compiled) == reference_privacy_scan(documents, terms, patterns)
+        assert privacy_scan(documents, prepare_scan(terms, compiled)) == reference_privacy_scan(documents, terms, patterns)
 
     def test_empty_match_pattern_marks_every_leaf(self):
         docs = [("d", {"a.b": "", "a": {"b": "xx"}, "n": 3, "l": ("x", None)})]
-        findings = privacy_scan(docs, (), {"star": "x*"})
+        findings = privacy_scan(docs, prepare_scan((), {"star": "x*"}))
         assert findings == reference_privacy_scan(docs, (), {"star": "x*"})
         assert {f.document_ref for f in findings} == {"d.a.b", "d.l[0]"}
 
     def test_anchors_bind_to_each_value(self):
         docs = [("d", ["ab", "ba", "b a"])]
         patterns = {"start": r"^a", "end": r"a$"}
-        findings = privacy_scan(docs, (), patterns)
+        findings = privacy_scan(docs, prepare_scan((), patterns))
         assert findings == reference_privacy_scan(docs, (), patterns)
         assert [(f.document_ref, f.kind) for f in findings] == [
             ("d[0]", "start"), ("d[1]", "end"), ("d[2]", "end"),
@@ -214,25 +206,25 @@ class TestPrivacyScanDifferential:
 
     def test_term_offset_is_in_the_original_text(self):
         # 'İ'.lower() is two characters, so the lowered text runs ahead of the original.
-        findings = privacy_scan([("d", {"k": "İİ blueharbor"})], ["blueharbor"], {})
+        findings = privacy_scan([("d", {"k": "İİ blueharbor"})], prepare_scan(["blueharbor"], {}))
         assert findings == [PrivacyFinding("d.k", "forbidden_term", "bl******or", 3)]
         docs = [("d", {"k": "İ BlueHarbor, İİ blueharbor"})]
-        findings = privacy_scan(docs, ["blueharbor"], {})
+        findings = privacy_scan(docs, prepare_scan(["blueharbor"], {}))
         assert [(f.position, f.excerpt) for f in findings] == [(2, "Bl******or"), (17, "bl******or")]
         assert findings == reference_privacy_scan(docs, ["blueharbor"], {})
 
     def test_case_folded_terms_keep_their_positions(self):
         docs = [("d", {"k": "İx Straße SS ΣΑΣ"})]
         terms = ["i̇", "ss", "ß", "σ", "s"]
-        assert privacy_scan(docs, terms) == reference_privacy_scan(docs, terms)
-        assert privacy_scan(docs, terms)
+        assert privacy_scan(docs, prepare_scan(terms)) == reference_privacy_scan(docs, terms)
+        assert privacy_scan(docs, prepare_scan(terms))
 
     def test_sweeps_skipped_by_required_characters_keep_every_finding(self):
         # d holds every required character, so each pattern is searched there; e holds no '.',
         # so the email, ipv4 and hostname sweeps are skipped there, and 'x@y' has no match anyway.
         docs = [("d", ["ops@corp.example", "10.0.0.1", "fe80:0:0:1", "xBs", "xbs", "no dots", "a.b"]), ("e", {"k": "x@y"})]
         patterns = {**DEFAULT_PRIVACY_PATTERNS, "fold": r"x(?i:b)s", "dot": r"a{0,2}\.b"}
-        findings = privacy_scan(docs, (), patterns)
+        findings = privacy_scan(docs, prepare_scan((), patterns))
         assert {f.kind for f in findings} == {"email", "ipv4", "ipv6", "fold", "dot"}
         assert findings == reference_privacy_scan(docs, (), patterns)
 
@@ -261,7 +253,7 @@ class TestLeafWalk:
         doc = "blueharbor"
         for _ in range(depth):
             doc = {"k": [doc]}
-        findings = privacy_scan([("d", doc)], ["blueharbor"], {})
+        findings = privacy_scan([("d", doc)], prepare_scan(["blueharbor"], {}))
         assert findings == [PrivacyFinding("d" + ".k[0]" * depth, "forbidden_term", "bl******or", 0)]
 
 
@@ -477,31 +469,35 @@ class TestGatedLoad:
 
 
 class TestBuildManifest:
+    @staticmethod
+    def _files(catalog_path, policy_path):
+        """The file-name -> digest mapping the loaders give for a catalog and a policy."""
+        return {
+            catalog_path.name: load_catalog(catalog_path).source_sha256,
+            policy_path.name: load_policy_rules(policy_path)[1],
+        }
+
     def test_identical_inputs_identical_content_digest(self, bundle):
-        paths = [bundle / "catalog.json", bundle / "policy.json"]
-        first = build_manifest(paths)
-        second = build_manifest(paths)
+        files = self._files(bundle / "catalog.json", bundle / "policy.json")
+        first = build_manifest(files)
+        second = build_manifest(dict(files))
         assert first["content_sha256"] == second["content_sha256"]
-        assert first["files"] == second["files"]
+        assert first["files"] == second["files"] == files
 
     def test_one_changed_byte_changes_only_that_entry(self, tmp_path, bundle):
         a = tmp_path / "catalog.json"
         b = tmp_path / "policy.json"
         a.write_text((bundle / "catalog.json").read_text())
         b.write_text((bundle / "policy.json").read_text())
-        before = build_manifest([a, b])
+        before = build_manifest(self._files(a, b))
         b.write_text(b.read_text() + " ")
-        after = build_manifest([a, b])
+        after = build_manifest(self._files(a, b))
         assert before["files"]["catalog.json"] == after["files"]["catalog.json"]
         assert before["files"]["policy.json"] != after["files"]["policy.json"]
         assert before["content_sha256"] != after["content_sha256"]
 
     def test_three_entry_manifest(self, bundle):
-        manifest = build_manifest(
-            [bundle / "catalog.json", bundle / "policy.json", bundle / "mapping_rules.json"]
-        )
-        assert len(manifest["files"]) == 3
-
-    def test_unreadable_file_raises(self, tmp_path):
-        with pytest.raises(IoError):
-            build_manifest([tmp_path / "missing.json"])
+        files = {**self._files(bundle / "catalog.json", bundle / "policy.json"),
+                 "mapping_rules.json": load_mapping_rules(bundle / "mapping_rules.json")[1]}
+        manifest = build_manifest(files)
+        assert manifest["files"] == files

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -716,6 +717,78 @@ def test_report_creates_the_parent_of_its_out_path(official_eval, tmp_path):
     assert target.read_text().startswith("# Evaluation report")
 
 
+def test_rule_burden_counts_each_cells_failures(bundle, tmp_path, monkeypatch):
+    _failing_enforce(monkeypatch, ("inc_0001", "gpt-5.2", "llm_zero"))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 0
+    assert main(["report", "--output-dir", str(out)]) == 0
+    report = (out / "report.md").read_text()
+    burden = report[report.index("## Rule burden by cell"):report.index("## Rule-level treatment rates")]
+    rows = [line.split(" | ") for line in burden.splitlines() if line.startswith("| ") and "/" in line]
+    # Cell, Complete, ..., Failures: the failed run is counted in its own cell only.
+    assert {row[0].removeprefix("| "): (row[1], row[-1].removesuffix(" |")) for row in rows} == {
+        "claude-sonnet-4-6 / zero": ("200/200", "0"),
+        "claude-sonnet-4-6 / policy": ("200/200", "0"),
+        "gpt-5.2 / zero": ("199/200", "1"),
+        "gpt-5.2 / policy": ("200/200", "0"),
+    }
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _rewrite_inputs_once(inputs):
+    """A hook that rewrites each of ``inputs`` on its first call, so a second read sees other bytes."""
+    def rewrite():
+        if not rewrite.done:
+            rewrite.done = True
+            for path in inputs:
+                path.write_bytes(path.read_bytes() + b" ")
+    rewrite.done = False
+    return rewrite
+
+
+def test_manifests_hash_the_bytes_each_loader_parsed(bundle, tmp_path, monkeypatch):
+    from planvet import cli, pipeline
+
+    copy = shutil.copytree(bundle, tmp_path / "bundle")
+    inputs = [copy / "catalog.json", copy / "policy.json", copy / "mapping_rules.json"]
+    original = {path.name: _sha256(path) for path in inputs}
+    rewrite = _rewrite_inputs_once(inputs)
+    real_enforce, real_gate = pipeline.enforce, cli.release_gate
+
+    def enforce(*args):
+        rewrite()
+        return real_enforce(*args)
+
+    monkeypatch.setattr(pipeline, "enforce", enforce)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(copy / "config.json"), "--output-dir", str(out)]) == 0
+    assert rewrite.done
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == original
+    assert manifest["policy_sha256"] == original["policy.json"]
+    traces = list((out / "enforced").iterdir())
+    assert len(traces) == 1000
+    assert {json.loads(trace.read_text())["policy_sha256"] for trace in traces} == {original["policy.json"]}
+
+    for path in inputs:  # the bytes the audit below loads
+        original[path.name] = _sha256(path)
+    rewrite = _rewrite_inputs_once(inputs)
+
+    def release_gate(*args, **kwargs):
+        rewrite()
+        return real_gate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "release_gate", release_gate)
+    assert main(["audit", "--corpus-dir", str(copy / "corpus"), "--catalog", str(copy / "catalog.json"),
+                 "--mapping-rules", str(copy / "mapping_rules.json"), "--output-dir", str(tmp_path / "audit")]) == 0
+    assert rewrite.done
+    manifest = json.loads((tmp_path / "audit" / "manifest.json").read_text())
+    assert manifest["files"] == {name: original[name] for name in ("catalog.json", "mapping_rules.json")}
+
+
 def test_directory_entry_is_an_audit_parse_failure(bundle, tmp_path):
     corpus = shutil.copytree(bundle / "corpus", tmp_path / "corpus")
     (corpus / "zz.json").mkdir()
@@ -863,7 +936,7 @@ def _corpus_with_nested(bundle, tmp_path):
 
 
 def _file(bundle, tmp_path):
-    """A plain file where an output directory is expected."""
+    """A plain file where a directory is expected."""
     path = tmp_path / "taken"
     path.write_text("")
     return str(path)
@@ -998,6 +1071,21 @@ MALFORMED_INPUTS = [
                  "IoError", "cannot create output directory ", id="activation-output-dir-file"),
     pytest.param(lambda b, t: ["make-fixtures", "--dest", _file(b, t)],
                  "IoError", "cannot create output directory ", id="make-fixtures-dest-file"),
+    # A directory flag that names a file or a missing path.
+    pytest.param(_with(_verify_proposal, "--corpus-dir", _file), "CorpusNotFound", "", id="verify-corpus-dir-file"),
+    pytest.param(_audit("--corpus-dir", _file), "CorpusNotFound", "", id="audit-corpus-dir-file"),
+    pytest.param(lambda b, t: ["map", "--corpus-dir", _file(b, t), "--catalog", str(b / "catalog.json"),
+                               "--mapping-rules", str(b / "mapping_rules.json"), "--output-dir", str(t / "out")],
+                 "CorpusNotFound", "", id="map-corpus-dir-file"),
+    pytest.param(_with(_activation, "--corpus-dir", _file), "CorpusNotFound", "", id="activation-corpus-dir-file"),
+    pytest.param(_with(_activation, "--plan-source", lambda b, t: "proposals", "--proposals-dir", _file),
+                 "ProposalsNotFound", "", id="activation-proposals-dir-file"),
+    pytest.param(_with(_config_fields(), "--corpus-dir", lambda b, t: "absent"),
+                 "ConfigInvalid", "corpus_dir absent is not a directory", id="evaluate-corpus-dir-missing"),
+    pytest.param(_with(_config_fields(), "--corpus-dir", _file),
+                 "ConfigInvalid", "corpus_dir ", id="evaluate-corpus-dir-file"),
+    pytest.param(_with(_config_fields(), "--proposals-dir", _file),
+                 "ConfigInvalid", "proposals_dir ", id="evaluate-proposals-dir-file"),
 ]
 
 
