@@ -232,8 +232,8 @@ def _llm_outcome_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     target = write_report(
-        _existing(args.output_dir, "OutputDirNotFound"),
-        defer_dir=args.defer_dir,
+        _directory(args.output_dir, "OutputDirNotFound"),
+        defer_dir=None if args.defer_dir is None else _directory(args.defer_dir, "OutputDirNotFound"),
         out_path=args.out,
     )
     print(f"report written to {target}")

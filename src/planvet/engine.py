@@ -1,14 +1,15 @@
 """Deterministic three-pass repair engine over action sequences.
 
 Pass 1 appends missing mandatory actions (once per rule, ascending rule id)
-when telemetry matches the rule scope. Pass 2 repairs ordering constraints
-to a fixed point, always fixing the leftmost violation first and inserting
-a fresh prerequisite instance; the engine never reorders. Pass 3 treats
-unapproved approval-gated occurrences left to right: removed in the primary
-mode, kept and recorded in defer mode.
+when telemetry matches the rule scope. Pass 2 repairs ordering in one
+left-to-right scan, inserting a fresh prerequisite instance right before an
+occurrence lacking it and checking that instance next; this reaches the same
+plan as repeatedly fixing the leftmost violation. The engine never reorders.
+Pass 3 treats unapproved approval-gated occurrences left to right: removed
+in the primary mode, kept and recorded in defer mode.
 
 Passes 1 and 2 do not depend on the approval mode. ``enforce_modes`` runs
-them once and finishes pass 3 for each requested mode from their shared
+them once and finishes pass 3 for each requested mode on a copy of their
 output; ``enforce`` and ``enforce_actions`` are that entry point with one
 mode, so there is one engine whichever way it is called.
 
@@ -116,8 +117,7 @@ def enforce_modes(
     """One result per approval mode, each equal to ``enforce_actions`` in that mode.
 
     Passes 1 and 2 do not depend on the mode, so they run once; pass 3
-    runs per mode on a copy of their output, except for the last mode,
-    which takes the output itself (one mode copies nothing).
+    runs per mode on a copy of their output.
     """
     for mode in modes:
         if mode not in APPROVAL_MODES:
@@ -134,12 +134,8 @@ def enforce_modes(
     _pass_ordering(working, policy, violations, edit_counts, tag_counter)
 
     results = []
-    last = len(modes) - 1
-    for index, mode in enumerate(modes):
-        if index < last:
-            mode_working, mode_violations, mode_counts = list(working), list(violations), dict(edit_counts)
-        else:
-            mode_working, mode_violations, mode_counts = working, violations, edit_counts
+    for mode in modes:
+        mode_working, mode_violations, mode_counts = list(working), list(violations), dict(edit_counts)
         deferred: list[str] = []
         _pass_approval(mode_working, policy, incident, mode, mode_violations, mode_counts, deferred)
         results.append(
@@ -190,56 +186,46 @@ def _pass_mandatory(working, policy, incident, violations, edit_counts, tag_coun
         edit_counts["insert"] += 1
 
 
-# -- pass 2: ordering repair to a fixed point --------------------------------
+# -- pass 2: ordering repair in one forward scan -----------------------------
 
 def _pass_ordering(working, policy, violations, edit_counts, tag_counter):
+    # A later occurrence of the prerequisite does not satisfy a rule; rules
+    # targeting the same occurrence are arbitrated by ascending rule id.
     rules_by_target = policy.order_rules
-    if not rules_by_target:
-        return
 
     # Cap signals an engine bug, never a data condition: legitimate work on
-    # an acyclic graph stays far below length * rules * catalog.
+    # an acyclic graph stays far below length * rules * catalog insertions.
     cap = (
         max(1, len(working))
         * max(1, len(policy.rules))
         * max(1, len(policy.catalog))
     )
     fired: set[tuple[str, int]] = set()
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > cap + 1:
-            raise InternalBoundExceeded(
-                f"ordering repair exceeded {cap} iterations; engine bug"
-            )
-        found = _leftmost_order_violation(working, rules_by_target)
-        if found is None:
-            return
-        index, rule, tag = found
+    seen: set[str] = set()
+    index = 0
+    while index < len(working):
+        action, tag = working[index]
+        for rule in rules_by_target.get(action, ()):
+            if rule.prerequisite_action not in seen:
+                break
+        else:
+            seen.add(action)
+            index += 1
+            continue
         pair = (rule.rule_id, tag)
         if pair in fired:
             raise InternalBoundExceeded(
                 f"rule {rule.rule_id} fired twice for one occurrence; engine bug"
             )
         fired.add(pair)
+        if len(fired) > cap:
+            raise InternalBoundExceeded(
+                f"ordering repair exceeded {cap} iterations; engine bug"
+            )
+        # Not advancing: working[:index] is unchanged, so the insertion is checked next.
         working.insert(index, (rule.prerequisite_action, next(tag_counter)))
         violations.append(_record(rule, rule.prerequisite_action, index, "insert_before"))
         edit_counts["insert_before"] += 1
-
-
-def _leftmost_order_violation(working, rules_by_target):
-    """Earliest (index, rule, occurrence tag) lacking its prerequisite, or None.
-
-    A later occurrence of the prerequisite does not satisfy the rule; rules
-    targeting the same occurrence are arbitrated by ascending rule id.
-    """
-    seen: set[str] = set()
-    for index, (action, tag) in enumerate(working):
-        for rule in rules_by_target.get(action, ()):
-            if rule.prerequisite_action not in seen:
-                return index, rule, tag
-        seen.add(action)
-    return None
 
 
 # -- pass 3: approval treatment ----------------------------------------------
@@ -273,23 +259,11 @@ def _pass_approval(working, policy, incident, mode, violations, edit_counts, def
 # Trace helpers
 # ---------------------------------------------------------------------------
 
-def fired_order_edges(
-    result: EnforcementResult, policy: ValidatedPolicy
-) -> tuple[tuple[str, str], ...]:
-    """(prerequisite, target) edge per ordering repair in the trace."""
-    edges = []
-    for violation in result.violations:
-        if violation.violation_type != "order_violation":
-            continue
-        rule = policy.rules_by_id[violation.rule_id]
-        edges.append((rule.prerequisite_action, rule.target_action))
-    return tuple(edges)
-
-
 def order_chain_depth(result: EnforcementResult, policy: ValidatedPolicy) -> int:
     """Longest dependent-repair chain in one run: the longest path through
     the prerequisite edges that actually fired (acyclic by validation)."""
-    edges = set(fired_order_edges(result, policy))
+    rules = (policy.rules_by_id[violation.rule_id] for violation in result.violations)
+    edges = {(rule.prerequisite_action, rule.target_action) for rule in rules if rule.family == PROHIBIT_BEFORE}
     if not edges:
         return 0
     children: dict[str, list[str]] = {}

@@ -1080,6 +1080,10 @@ MALFORMED_INPUTS = [
     pytest.param(_with(_activation, "--corpus-dir", _file), "CorpusNotFound", "", id="activation-corpus-dir-file"),
     pytest.param(_with(_activation, "--plan-source", lambda b, t: "proposals", "--proposals-dir", _file),
                  "ProposalsNotFound", "", id="activation-proposals-dir-file"),
+    pytest.param(lambda b, t: ["report", "--output-dir", _file(b, t)],
+                 "OutputDirNotFound", "", id="report-output-dir-file"),
+    pytest.param(lambda b, t: ["report", "--output-dir", str(b), "--defer-dir", _file(b, t)],
+                 "OutputDirNotFound", "", id="report-defer-dir-file"),
     pytest.param(_with(_config_fields(), "--corpus-dir", lambda b, t: "absent"),
                  "ConfigInvalid", "corpus_dir absent is not a directory", id="evaluate-corpus-dir-missing"),
     pytest.param(_with(_config_fields(), "--corpus-dir", _file),

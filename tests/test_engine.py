@@ -13,6 +13,7 @@ from planvet.catalog import (
     ActionEntry,
     PolicyRule,
     ScopePredicate,
+    ValidatedPolicy,
     load_policy,
     scope_matches,
     validate_policy,
@@ -293,6 +294,21 @@ class TestDeterminismAndIdempotence:
         second = enforce_actions(first.enforced_actions, policy, incident, MODE_REMOVE)
         assert second.modified is False
         assert second.enforced_actions == first.enforced_actions
+        for mode in APPROVAL_MODES:
+            assert enforce_actions(plan, policy, incident, mode) == reference_enforce_actions(
+                plan, policy, incident, mode
+            )
+
+
+class TestTerminationCap:
+    def test_cyclic_policy_past_validation_hits_the_cap(self):
+        # validate_policy refuses a cycle; built directly, the ordering scan
+        # inserts a fresh a/b pair forever until the insertion cap stops it
+        # (1 action * 2 rules * 2 catalog entries = 4)
+        rules = (_order("r1", "a", "b"), _order("r2", "b", "a"))
+        policy = ValidatedPolicy(_catalog(["a", "b"]), rules, (("a", "b"), ("b", "a")))
+        with pytest.raises(InternalBoundExceeded, match="^ordering repair exceeded 4 iterations; engine bug$"):
+            enforce_actions(["a"], policy, _incident(), MODE_REMOVE)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +316,11 @@ class TestDeterminismAndIdempotence:
 # ---------------------------------------------------------------------------
 
 def reference_enforce_actions(actions, policy, incident, mode=MODE_REMOVE):
-    """The engine as it was before ``enforce_modes``: all three passes per mode."""
+    """The engine as it was before ``enforce_modes``: all three passes per mode.
+
+    Pass 2 keeps the rescan from index 0 after every insertion, the oracle
+    for the engine's single forward scan.
+    """
     if mode not in APPROVAL_MODES:
         raise ValueError(f"unknown approval mode {mode!r}")
 
@@ -350,6 +370,7 @@ def _ref_pass_mandatory(working, policy, incident, violations, edit_counts, tag_
 
 
 def _ref_pass_ordering(working, policy, violations, edit_counts, tag_counter):
+    """Repeatedly fix the leftmost violation, rescanning from index 0 each time."""
     rules_by_target = policy.order_rules
     if not rules_by_target:
         return
