@@ -96,7 +96,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if result.deferred_actions:
         print(f"deferred:  {' '.join(result.deferred_actions)}")
     if args.output:
-        write_json(args.output, result.to_json_obj(policy_sha256=policy.source_sha256), rounded=False)
+        output = Path(args.output)
+        make_output_dir(output.parent)
+        write_json(output, result.to_json_obj(policy_sha256=policy.source_sha256), rounded=False)
 
     hard = result.hard_violations()
     print(f"hard violations: {hard}")

@@ -34,7 +34,6 @@ PROXY_APPROVAL_SOURCE = "mapping_contract_proxy"
 class TelemetryEvent:
     event_type: str
     command: str = ""
-    indicators: tuple[str, ...] = ()
     labels: tuple[str, ...] = ()
 
 
@@ -42,7 +41,6 @@ class TelemetryEvent:
 class ApprovalEvidence:
     action_id: str
     source: str
-    note: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +62,6 @@ class IncidentPackage:
     mapped_human_actions: tuple[str, ...]
     approvals: tuple[ApprovalEvidence, ...]
     extracted_tasks: tuple[TaskRecord, ...] = ()
-    quality_trace: Mapping | None = None
 
     def approved_actions(self) -> frozenset[str]:
         return frozenset(ev.action_id for ev in self.approvals)
@@ -369,16 +366,18 @@ def load_corpus(
 def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> IncidentPackage:
     """Apply the semantic checks to a schema-valid document and build the package.
 
-    Action ids are the catalog's own string objects, and the category fields
-    (category, severity, asset criticality, phase, event types, labels,
-    approval sources) are interned: a corpus holds each such value once.
-    Free text (commands, notes, tasks, indicators, case metadata) is kept as
-    parsed.
+    Action ids are the catalog's own string objects, and the incident id
+    and the category fields (category, severity, asset criticality, phase,
+    event types, labels, approval sources) are interned: a corpus holds each
+    such value once. Commands, tasks and case metadata are kept as parsed.
+    The free text that nothing reads after loading (telemetry indicators,
+    approval notes, the quality trace) is validated by the schema and scanned
+    by the release gate in the parsed document, but not kept.
     """
     if package_file.defect is not None:
         raise package_file.defect
     obj = package_file.document
-    incident_id = obj["incident_id"]
+    incident_id = sys.intern(obj["incident_id"])
     if package_file.name.removesuffix(".json") != incident_id:
         raise SchemaError(
             f"{package_file.name}: filename must be <incident_id>.json (id is {incident_id!r})"
@@ -405,7 +404,7 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
                 f"{incident_id}: approval evidence for {action!r} but the action "
                 "is not approval-gated"
             )
-        approvals.append(ApprovalEvidence(entry.action_id, sys.intern(ev["source"]), ev.get("note", "")))
+        approvals.append(ApprovalEvidence(entry.action_id, sys.intern(ev["source"])))
 
     tasks = []
     last_order = -1
@@ -428,7 +427,6 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
             TelemetryEvent(
                 event_type=sys.intern(ev["event_type"]),
                 command=ev.get("command", ""),
-                indicators=tuple(ev.get("indicators", ())),
                 labels=tuple(map(sys.intern, ev.get("labels", ()))),
             )
             for ev in obj["telemetry"]
@@ -437,7 +435,6 @@ def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> Inciden
         mapped_human_actions=tuple(mapped),
         approvals=tuple(approvals),
         extracted_tasks=tuple(tasks),
-        quality_trace=obj.get("quality_trace"),
     )
 
 

@@ -3,18 +3,20 @@
 Overlap metrics are set-based (deduplicated); multiplicity lives only in
 the raw trace. Empty-set conventions (coverage 1.0 on an empty baseline,
 precision 1.0 on an empty plan) keep vacuous cases division-free and let a
-baseline evaluated against itself score exactly 1.0 / 0.
+baseline evaluated against itself score exactly 1.0 / 0. A run is held as a
+``RunOutcome`` of set sizes and counts, and ``derive_metrics`` computes every
+ratio from those integers, so a ``RunMetrics`` read twice is the same.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping, Sequence
 
-from .engine import EnforcementResult
+from .engine import EDIT_OPERATORS, EnforcementResult
 from .errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch
 from .plans import ProposedPlan
 from .util import record_json
@@ -102,15 +104,54 @@ class StabilityReport:
 # Per-run metrics
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
+class RunOutcome:
+    """One run held as counts: every ``RunMetrics`` field derives from these.
+
+    ``n_base``, ``n_raw`` and ``n_enforced`` are the sizes of the baseline
+    (B), proposed (R) and enforced (E) action sets; ``n_raw_base`` and
+    ``n_enforced_base`` are |R∩B| and |E∩B|. The unions follow from them.
+    """
+
+    incident_id: str
+    model_id: str
+    arm: str
+    hard_count: int
+    soft_count: int
+    rule_counts: tuple[tuple[str, int], ...]  # (rule id, count), in first-violation order
+    edit_counts: tuple[int, ...]  # in EDIT_OPERATORS order
+    modified: bool
+    n_base: int
+    n_raw: int
+    n_enforced: int
+    n_raw_base: int
+    n_enforced_base: int
+    llm_only_actions: tuple[str, ...]
+    baseline_only_actions: tuple[str, ...]
+
+    @property
+    def violated(self) -> bool:
+        return self.hard_count + self.soft_count >= 1
+
+    @property
+    def lost_coverage(self) -> bool:
+        """Enforcement removed a baseline action the proposal had: |E∩B| < |R∩B|."""
+        return self.n_base > 0 and self.n_enforced_base < self.n_raw_base
+
+    def edits(self, operator: str) -> int:
+        return self.edit_counts[EDIT_OPERATORS.index(operator)]
+
+
 def _ratio(numerator: int, denominator: int, *, empty: float) -> float:
     return numerator / denominator if denominator else empty
 
-def run_metrics(
+
+def run_outcome(
     raw: ProposedPlan,
     result: EnforcementResult,
     baseline: ProposedPlan,
-) -> RunMetrics:
-    """Set-based overlap and burden metrics for one (plan, enforcement, baseline)."""
+) -> RunOutcome:
+    """The set sizes and counts of one (plan, enforcement, baseline) run."""
     if raw.incident_id != baseline.incident_id:
         raise IncidentMismatch(
             f"plan is for {raw.incident_id!r} but baseline is for {baseline.incident_id!r}"
@@ -120,61 +161,125 @@ def run_metrics(
     # Deferred actions stay in the enforced sequence, so the enforced set
     # includes them by construction in defer mode.
     enforced_set = set(result.enforced_actions)
-
-    coverage = _ratio(len(enforced_set & base_set), len(base_set), empty=1.0)
-    precision_raw = _ratio(len(raw_set & base_set), len(raw_set), empty=1.0)
-    precision_enforced = _ratio(len(enforced_set & base_set), len(enforced_set), empty=1.0)
-    jaccard_raw = _ratio(len(raw_set & base_set), len(raw_set | base_set), empty=1.0)
-    jaccard_enforced = _ratio(len(enforced_set & base_set), len(enforced_set | base_set), empty=1.0)
-
     hard = result.hard_violations()
-    soft = len(result.violations) - hard
-    by_rule = Counter(v.rule_id for v in result.violations)
-
-    return RunMetrics(
+    return RunOutcome(
         incident_id=raw.incident_id,
         model_id=raw.model_id,
         arm=raw.arm,
-        violated=(hard + soft) >= 1,
         hard_count=hard,
-        soft_count=soft,
-        violations_by_rule=dict(by_rule),
-        edit_counts=dict(result.edit_counts),
+        soft_count=len(result.violations) - hard,
+        rule_counts=tuple(Counter(v.rule_id for v in result.violations).items()),
+        edit_counts=tuple(result.edit_counts.get(op, 0) for op in EDIT_OPERATORS),
         modified=result.modified,
-        coverage=coverage,
-        precision_raw=precision_raw,
-        precision_enforced=precision_enforced,
-        jaccard_raw=jaccard_raw,
-        jaccard_enforced=jaccard_enforced,
-        delta_jaccard=jaccard_enforced - jaccard_raw,
+        n_base=len(base_set),
+        n_raw=len(raw_set),
+        n_enforced=len(enforced_set),
+        n_raw_base=len(raw_set & base_set),
+        n_enforced_base=len(enforced_set & base_set),
         llm_only_actions=tuple(sorted(raw_set - base_set)),
         baseline_only_actions=tuple(sorted(base_set - raw_set)),
     )
+
+
+def derive_metrics(outcome: RunOutcome) -> RunMetrics:
+    """The ratios of one run, each computed here and only here from its counts."""
+    b, eb, rb = outcome.n_base, outcome.n_enforced_base, outcome.n_raw_base
+    jaccard_raw = _ratio(rb, outcome.n_raw + b - rb, empty=1.0)
+    jaccard_enforced = _ratio(eb, outcome.n_enforced + b - eb, empty=1.0)
+    return RunMetrics(
+        incident_id=outcome.incident_id,
+        model_id=outcome.model_id,
+        arm=outcome.arm,
+        violated=outcome.violated,
+        hard_count=outcome.hard_count,
+        soft_count=outcome.soft_count,
+        violations_by_rule=dict(outcome.rule_counts),
+        edit_counts=dict(zip(EDIT_OPERATORS, outcome.edit_counts)),
+        modified=outcome.modified,
+        coverage=_ratio(eb, b, empty=1.0),
+        precision_raw=_ratio(rb, outcome.n_raw, empty=1.0),
+        precision_enforced=_ratio(eb, outcome.n_enforced, empty=1.0),
+        jaccard_raw=jaccard_raw,
+        jaccard_enforced=jaccard_enforced,
+        delta_jaccard=jaccard_enforced - jaccard_raw,
+        llm_only_actions=outcome.llm_only_actions,
+        baseline_only_actions=outcome.baseline_only_actions,
+    )
+
+
+def run_metrics(
+    raw: ProposedPlan,
+    result: EnforcementResult,
+    baseline: ProposedPlan,
+) -> RunMetrics:
+    """Set-based overlap and burden metrics for one (plan, enforcement, baseline)."""
+    return derive_metrics(run_outcome(raw, result, baseline))
+
+
+class RunMetricsView(Sequence[RunMetrics]):
+    """Read-only runs that derive each ``RunMetrics`` from its outcome when read."""
+
+    __slots__ = ("outcomes",)
+
+    def __init__(self, outcomes: Sequence[RunOutcome]) -> None:
+        self.outcomes = outcomes
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, index: int) -> RunMetrics:
+        return derive_metrics(self.outcomes[index])
+
+    def __iter__(self) -> Iterator[RunMetrics]:
+        return map(derive_metrics, self.outcomes)
 
 
 # ---------------------------------------------------------------------------
 # Cell aggregation
 # ---------------------------------------------------------------------------
 
-def aggregate(runs: Sequence[RunMetrics], confidence: float = 0.95) -> CellSummary:
-    """Collapse one model/arm cell into rates, burdens, and rule breakdowns."""
-    if not runs:
-        raise EmptyCell("cannot aggregate an empty cell")
-    cells = {(r.model_id, r.arm) for r in runs}
-    if len(cells) != 1:
-        raise ValueError(f"aggregate() needs a single cell, got {sorted(cells)}")
-    model_id, arm = next(iter(cells))
+# RunMetrics fields whose cell mean is the CellSummary field ``mean_<name>``.
+_MEAN_FIELDS = (
+    "coverage", "delta_jaccard", "precision_raw", "precision_enforced", "jaccard_raw", "jaccard_enforced",
+)
 
-    n = len(runs)
-    violating = sum(1 for r in runs if r.violated)
-    low, high = wilson_interval(violating, n, confidence)
 
+def aggregate(runs: Iterable[RunMetrics], confidence: float = 0.95) -> CellSummary:
+    """Collapse one model/arm cell into rates, burdens, and rule breakdowns.
+
+    Takes one pass over ``runs``, so a generator serves as well as a list.
+    """
+    # Imported here: loading the extension module costs every command that
+    # imports planvet about 0.3 MB of RSS, and only evaluate aggregates. The
+    # columns hold raw doubles, which fragment the heap less than floats.
+    from array import array
+
+    cells: set[tuple[str, str]] = set()
+    cell = None
+    n = violating = hard = modified = deferred = 0
+    columns = {name: array("d") for name in _MEAN_FIELDS}
     rule_counts: Counter[str] = Counter()
     rule_run_hits: Counter[str] = Counter()
     for r in runs:
+        if (r.model_id, r.arm) != cell:
+            cell = (r.model_id, r.arm)
+            cells.add(cell)
+        n += 1
+        violating += r.violated
+        hard += r.hard_count
+        modified += r.modified
+        deferred += r.edit_counts.get("defer", 0)
+        for name, column in columns.items():
+            column.append(getattr(r, name))
         for rule_id, count in r.violations_by_rule.items():
             rule_counts[rule_id] += count
             rule_run_hits[rule_id] += 1
+    if not n:
+        raise EmptyCell("cannot aggregate an empty cell")
+    if len(cells) != 1:
+        raise ValueError(f"aggregate() needs a single cell, got {sorted(cells)}")
+    model_id, arm = cell
+    low, high = wilson_interval(violating, n, confidence)
 
     return CellSummary(
         model_id=model_id,
@@ -183,15 +288,10 @@ def aggregate(runs: Sequence[RunMetrics], confidence: float = 0.95) -> CellSumma
         violation_rate=violating / n,
         wilson_low=low,
         wilson_high=high,
-        hard_per_run=math.fsum(r.hard_count for r in runs) / n,
-        edit_rate=sum(1 for r in runs if r.modified) / n,
-        mean_coverage=math.fsum(r.coverage for r in runs) / n,
-        mean_delta_jaccard=math.fsum(r.delta_jaccard for r in runs) / n,
-        mean_precision_raw=math.fsum(r.precision_raw for r in runs) / n,
-        mean_precision_enforced=math.fsum(r.precision_enforced for r in runs) / n,
-        mean_jaccard_raw=math.fsum(r.jaccard_raw for r in runs) / n,
-        mean_jaccard_enforced=math.fsum(r.jaccard_enforced for r in runs) / n,
-        deferred_total=sum(r.edit_counts.get("defer", 0) for r in runs),
+        hard_per_run=hard / n,
+        edit_rate=modified / n,
+        **{f"mean_{name}": math.fsum(column) / n for name, column in columns.items()},
+        deferred_total=deferred,
         rule_rates={rule: hits / n for rule, hits in rule_run_hits.items()},
         rule_counts=dict(rule_counts),
     )

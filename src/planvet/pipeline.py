@@ -36,12 +36,14 @@ from .errors import (
 from .metrics import (
     CellSummary,
     ContrastResult,
-    RunMetrics,
+    RunMetricsView,
+    RunOutcome,
     aggregate,
     cell_name,
+    derive_metrics,
     holm_adjust,
     paired_contrast,
-    run_metrics,
+    run_outcome,
     stability_report,
 )
 from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
@@ -170,8 +172,8 @@ class EvaluationResult:
     cells: dict[CellKey, CellSummary]
     baseline_cell: CellSummary | None  # None when every baseline run failed
     contrasts: list[ContrastResult]
-    runs: list[RunMetrics]
-    baseline_runs: list[RunMetrics]
+    runs: RunMetricsView  # derives each RunMetrics when read
+    baseline_runs: RunMetricsView
     planned: int
     completed: int
     failures: list[dict] = field(default_factory=list)
@@ -256,8 +258,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 
     enforced_dir = make_output_dir(Path(config.output_dir) / "enforced")
 
-    runs: list[RunMetrics] = []
-    baseline_runs: list[RunMetrics] = []
+    runs: list[RunOutcome] = []
+    baseline_runs: list[RunOutcome] = []
     llm_failures: list[dict] = []
     baseline_failures: list[dict] = []
     coverage_loss = 0
@@ -277,7 +279,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
                 if package is None:
                     raise IncidentNotFound(plan.incident_id)
                 result = enforce(plan, policy, package, config.approval_mode)
-                metrics = run_metrics(plan, result, baseline)
+                outcome = run_outcome(plan, result, baseline)
             except Exception as exc:  # never silently dropped: counted and logged
                 log.error("run failed: %s/%s/%s: %s", plan.incident_id, plan.model_id, plan.arm, exc)
                 failures = baseline_failures if plan.source == SOURCE_BASELINE else llm_failures
@@ -291,11 +293,11 @@ def evaluate(config: RunConfig) -> EvaluationResult:
                 )
                 continue
             if plan.source == SOURCE_BASELINE:
-                baseline_runs.append(metrics)
+                baseline_runs.append(outcome)
                 label = BASELINE_LABEL
             else:
-                runs.append(metrics)
-                coverage_loss += _lost_coverage(plan, result, baseline)
+                runs.append(outcome)
+                coverage_loss += outcome.lost_coverage
                 label = plan.model_id
             name = f"{plan.incident_id}__{label}__{plan.arm}.json"
             write_json(enforced_dir / name, result.to_json_obj(policy_sha256=policy_sha), rounded=False)
@@ -303,7 +305,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 
     cells = _aggregate_cells(runs, config.confidence)
     # Failed baselines are in ``failures``; with none left there is no baseline cell.
-    baseline_cell = aggregate(baseline_runs, config.confidence) if baseline_runs else None
+    baseline_cell = aggregate(map(derive_metrics, baseline_runs), config.confidence) if baseline_runs else None
 
     # A failed run drops its incident from the contrasts that involve its cell.
     contrasts = compute_contrasts(
@@ -318,8 +320,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         cells=cells,
         baseline_cell=baseline_cell,
         contrasts=contrasts,
-        runs=runs,
-        baseline_runs=baseline_runs,
+        runs=RunMetricsView(runs),
+        baseline_runs=RunMetricsView(baseline_runs),
         planned=planned,
         completed=len(runs),
         failures=llm_failures + baseline_failures,
@@ -336,20 +338,11 @@ def _popped(proposals: list[ProposedPlan], incident_id: str) -> Iterator[Propose
         yield proposals.pop()
 
 
-def _lost_coverage(plan: ProposedPlan, result, baseline: ProposedPlan) -> bool:
-    base = set(baseline.actions)
-    if not base:
-        return False
-    raw_cov = len(set(plan.actions) & base) / len(base)
-    enforced_cov = len(set(result.enforced_actions) & base) / len(base)
-    return enforced_cov < raw_cov
-
-
-def _aggregate_cells(runs: Sequence[RunMetrics], confidence: float) -> dict[CellKey, CellSummary]:
-    grouped: dict[CellKey, list[RunMetrics]] = {}
+def _aggregate_cells(runs: Sequence[RunOutcome], confidence: float) -> dict[CellKey, CellSummary]:
+    grouped: dict[CellKey, list[RunOutcome]] = {}
     for run in runs:
         grouped.setdefault((run.model_id, run.arm), []).append(run)
-    return {key: aggregate(group, confidence) for key, group in sorted(grouped.items())}
+    return {key: aggregate(map(derive_metrics, group), confidence) for key, group in sorted(grouped.items())}
 
 
 def cell_outcomes(rows: Iterable[tuple[CellKey, str, bool]]) -> dict[CellKey, dict[str, bool]]:
@@ -392,7 +385,7 @@ def compute_contrasts(
 def _corpus_summary(
     label: str,
     cells: Mapping[CellKey, CellSummary],
-    runs: Sequence[RunMetrics],
+    runs: Sequence[RunOutcome],
     coverage_loss: int,
 ) -> dict:
     rule_totals: dict[str, int] = {}
@@ -413,8 +406,8 @@ def _corpus_summary(
         "rule_totals": dict(sorted(rule_totals.items())),
         "llm_runs": n,
         "llm_edit_rate": (sum(1 for r in runs if r.modified) / n) if n else 0.0,
-        "removed_total": sum(r.edit_counts.get("remove", 0) for r in runs),
-        "deferred_total": sum(r.edit_counts.get("defer", 0) for r in runs),
+        "removed_total": sum(r.edits("remove") for r in runs),
+        "deferred_total": sum(r.edits("defer") for r in runs),
         "coverage_loss_runs": coverage_loss,
     }
 

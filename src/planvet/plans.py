@@ -109,10 +109,11 @@ def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[Pr
     """Parse every ``<incident_id>__<model>__<arm>.json`` proposal fixture, one at a time.
 
     Yielded in sorted filename order, which is also (incident, model, arm)
-    order for the shipped bundle naming scheme. Each plan's model and arm
-    are interned, one string object per distinct name. A name that does
-    not split into three parts, or an entry that cannot be read (a
-    directory named ``*.json``, say), raises ``ParseError`` naming the file.
+    order for the shipped bundle naming scheme. Each plan's incident id,
+    model and arm are interned, one string object per distinct name, so a
+    plan shares its id with the loaded package. A name that does not split
+    into three parts, or an entry that cannot be read (a directory named
+    ``*.json``, say), raises ``ParseError`` naming the file.
     """
     for name in json_names(directory):
         parts = name.removesuffix(".json").split("__")
@@ -122,7 +123,7 @@ def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[Pr
         yield parse_proposal(
             read_entry(os.path.join(directory, name)),
             catalog,
-            incident_id=incident_id,
+            incident_id=sys.intern(incident_id),
             model_id=sys.intern(model_id),
             arm=sys.intern(arm),
             source=SOURCE_LLM,

@@ -168,6 +168,11 @@ class TestVerify:
         assert doc["enforced_actions"] == ["collect_forensics"]
         assert doc["policy_sha256"]
 
+    def test_result_document_written_into_missing_directory(self, bundle, proposal_file, tmp_path):
+        out = tmp_path / "new" / "verify" / "result.json"
+        assert main(_verify_args(bundle, proposal_file, output=out)) == 3
+        assert json.loads(out.read_text())["enforced_actions"] == ["collect_forensics"]
+
 
 class TestAuditAndMap:
     def test_audit_passes_on_bundle(self, bundle, tmp_path, capsys):

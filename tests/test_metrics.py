@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +13,23 @@ from hypothesis import strategies as st
 
 from planvet.catalog import ActionCatalog, ActionEntry, PolicyRule, validate_policy
 from planvet.corpus import IncidentPackage
-from planvet.engine import MODE_REMOVE, enforce_actions
+from planvet import pipeline
+from planvet.engine import EDIT_OPERATORS, MODE_REMOVE, EnforcementResult, ViolationRecord, enforce_actions
 from planvet.errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch
 from planvet.metrics import (
+    RunMetrics,
     aggregate,
     cohens_h,
+    derive_metrics,
     holm_adjust,
     mcnemar_exact,
     paired_contrast,
     run_metrics,
+    run_outcome,
     stability_report,
     wilson_interval,
 )
+from planvet.pipeline import RunConfig, evaluate
 from planvet.plans import ProposedPlan
 from planvet.util import round4
 
@@ -188,10 +196,142 @@ class TestRunMetrics:
             run_metrics(raw, result, _plan("inc_y", [], model="", arm="none"))
 
 
+def reference_run_metrics(raw, result, baseline):
+    """``run_metrics`` as it computed every ratio from the sets themselves.
+
+    Kept as the oracle for the metrics derived from a run's counts.
+    """
+    def ratio(numerator, denominator, *, empty):
+        return numerator / denominator if denominator else empty
+
+    raw_set = set(raw.actions)
+    base_set = set(baseline.actions)
+    enforced_set = set(result.enforced_actions)
+
+    coverage = ratio(len(enforced_set & base_set), len(base_set), empty=1.0)
+    precision_raw = ratio(len(raw_set & base_set), len(raw_set), empty=1.0)
+    precision_enforced = ratio(len(enforced_set & base_set), len(enforced_set), empty=1.0)
+    jaccard_raw = ratio(len(raw_set & base_set), len(raw_set | base_set), empty=1.0)
+    jaccard_enforced = ratio(len(enforced_set & base_set), len(enforced_set | base_set), empty=1.0)
+
+    hard = result.hard_violations()
+    soft = len(result.violations) - hard
+    by_rule = Counter(v.rule_id for v in result.violations)
+
+    return RunMetrics(
+        incident_id=raw.incident_id,
+        model_id=raw.model_id,
+        arm=raw.arm,
+        violated=(hard + soft) >= 1,
+        hard_count=hard,
+        soft_count=soft,
+        violations_by_rule=dict(by_rule),
+        edit_counts=dict(result.edit_counts),
+        modified=result.modified,
+        coverage=coverage,
+        precision_raw=precision_raw,
+        precision_enforced=precision_enforced,
+        jaccard_raw=jaccard_raw,
+        jaccard_enforced=jaccard_enforced,
+        delta_jaccard=jaccard_enforced - jaccard_raw,
+        llm_only_actions=tuple(sorted(raw_set - base_set)),
+        baseline_only_actions=tuple(sorted(base_set - raw_set)),
+    )
+
+
+def reference_lost_coverage(plan, result, baseline):
+    """The coverage-loss test on float coverages, as the pipeline made it."""
+    base = set(baseline.actions)
+    if not base:
+        return False
+    raw_cov = len(set(plan.actions) & base) / len(base)
+    enforced_cov = len(set(result.enforced_actions) & base) / len(base)
+    return enforced_cov < raw_cov
+
+
+_ACTIONS = st.lists(st.sampled_from(("a", "b", "c", "d", "e")), max_size=8)
+_VIOLATIONS = st.lists(
+    st.builds(
+        lambda rule, severity: ViolationRecord(rule, "require_approval", "approval_required", "a", 0, "remove", severity),
+        st.sampled_from(("R1", "R2", "R3")),
+        st.sampled_from(("hard", "soft")),
+    ),
+    max_size=6,
+)
+_EDIT_COUNTS = st.fixed_dictionaries({op: st.integers(0, 5) for op in EDIT_OPERATORS})
+
+
+class TestRunOutcome:
+    @settings(max_examples=1000, deadline=None)
+    @given(raw=_ACTIONS, enforced=_ACTIONS, base=_ACTIONS, violations=_VIOLATIONS,
+           edit_counts=_EDIT_COUNTS, modified=st.booleans())
+    def test_derived_metrics_equal_set_based_reference(self, raw, enforced, base, violations, edit_counts, modified):
+        raw_plan = _plan("inc_x", raw)
+        base_plan = _plan("inc_x", base, model="", arm="none", source="human_baseline")
+        result = EnforcementResult(tuple(enforced), tuple(violations), modified, edit_counts, MODE_REMOVE)
+        expected = reference_run_metrics(raw_plan, result, base_plan)
+        outcome = run_outcome(raw_plan, result, base_plan)
+        derived = derive_metrics(outcome)
+        for name in (f.name for f in fields(RunMetrics)):
+            assert getattr(derived, name) == getattr(expected, name), name
+        assert run_metrics(raw_plan, result, base_plan) == expected
+        assert outcome.lost_coverage == reference_lost_coverage(raw_plan, result, base_plan)
+
+
+def _alive_run_metrics() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is RunMetrics)
+
+
+class TestWorkingSet:
+    def test_evaluate_holds_no_run_metrics(self, bundle, tmp_path, monkeypatch):
+        write_outputs = pipeline._write_outputs
+        alive_at_write = []
+
+        def counted(*args, **kwargs):
+            alive_at_write.append(_alive_run_metrics())
+            return write_outputs(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_write_outputs", counted)
+        before = _alive_run_metrics()
+        result = evaluate(RunConfig.from_json(bundle / "config.json", output_dir=str(tmp_path / "out")))
+        assert alive_at_write == [before]
+
+        runs = list(result.runs)
+        assert runs == list(result.runs)
+        assert len(result.runs) == len(runs) == result.completed == 800
+        assert result.runs[0] == runs[0] and result.runs[-1] == runs[-1]
+        assert len(result.baseline_runs) == 200
+
+
 class TestAggregate:
     def test_empty_cell(self):
         with pytest.raises(EmptyCell):
             aggregate([])
+
+    def test_empty_iterable(self):
+        with pytest.raises(EmptyCell):
+            aggregate(run for run in ())
+
+    def test_mixed_cells_raise(self, official_eval):
+        first = official_eval.runs[0]
+        other = next(run for run in official_eval.runs if run.arm != first.arm)
+        with pytest.raises(ValueError, match="needs a single cell"):
+            aggregate(run for run in (first, other))
+
+    def test_generator_equals_list_in_every_fixture_cell(self, official_eval, defer_eval):
+        for evaluation in (official_eval, defer_eval):
+            confidence = evaluation.config.confidence
+            grouped = {}
+            for run in evaluation.runs:
+                grouped.setdefault((run.model_id, run.arm), []).append(run)
+            assert grouped.keys() == evaluation.cells.keys()
+            for cell, runs in grouped.items():
+                from_list = aggregate(runs, confidence)
+                assert aggregate((run for run in runs), confidence) == from_list
+                assert from_list == evaluation.cells[cell]
+            baselines = list(evaluation.baseline_runs)
+            assert aggregate(iter(baselines), confidence) == aggregate(baselines, confidence) == evaluation.baseline_cell
 
     def test_single_clean_run(self):
         raw = _plan("inc_x", ["collect_forensics"])

@@ -114,3 +114,12 @@ class TestOutOfCatalogRate:
         plans = load_proposals(bundle / "proposals", catalog)
         assert len(plans) == 800
         assert out_of_catalog_rate(plans) == 0.0
+
+
+def test_proposal_shares_its_incident_id_with_the_package(bundle, catalog):
+    from planvet.corpus import load_package
+    from planvet.plans import iter_proposals
+
+    plan = next(iter_proposals(bundle / "proposals", catalog))
+    package = load_package(bundle / "corpus", plan.incident_id, catalog)
+    assert plan.incident_id is package.incident_id

@@ -15,7 +15,7 @@ import pytest
 from planvet.corpus import ApprovalEvidence, IncidentPackage, PackageFile, TaskRecord, TelemetryEvent
 from planvet.engine import EnforcementResult, ViolationRecord
 from planvet.mapping import MappedTask
-from planvet.metrics import RunMetrics
+from planvet.metrics import RunMetrics, RunOutcome
 from planvet.plans import ProposedPlan
 from planvet.util import present, present_record, record_json, round4
 
@@ -78,7 +78,7 @@ def test_present_record_serializes_as_present(official_eval, defer_eval):
 
 RECORD_TYPES = [
     ProposedPlan, IncidentPackage, TelemetryEvent, ApprovalEvidence, TaskRecord,
-    PackageFile, ViolationRecord, EnforcementResult, RunMetrics, MappedTask,
+    PackageFile, ViolationRecord, EnforcementResult, RunMetrics, RunOutcome, MappedTask,
 ]
 
 
