@@ -50,14 +50,14 @@ from .mapping import (  # noqa: F401
 from .metrics import (  # noqa: F401
     CellSummary,
     ContrastResult,
-    RunMetrics,
+    RunOutcome,
     StabilityReport,
     aggregate,
     cohens_h,
     holm_adjust,
     mcnemar_exact,
     paired_contrast,
-    run_metrics,
+    run_outcome,
     stability_report,
     wilson_interval,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import logging
 import sys
 from itertools import chain
@@ -24,12 +23,13 @@ from .audit import activation_check, build_manifest, load_gate_inputs, release_g
 from .catalog import ActionCatalog, load_catalog, load_policy
 from .corpus import baseline_plan, load_corpus, load_package
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
-from .errors import ConfigInvalid, ParseError, PlanvetError
+from .errors import ConfigInvalid, PlanvetError
 from .mapping import load_mapping_rules, map_corpus, mapping_coverage
+from .metrics import read_llm_rows
 from .pipeline import RunConfig, cell_outcomes, compute_contrasts, contrast_family_pairs, evaluate
 from .plans import SOURCE_FIXTURE, ProposedPlan, iter_proposals, parse_proposal
 from .report import write_report
-from .util import decode_json, json_field, make_output_dir, read_entry, read_json, record_json, write_json
+from .util import make_output_dir, read_entry, read_json, record_json, write_json
 
 log = logging.getLogger("planvet")
 
@@ -194,7 +194,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
     metrics_path = _existing(args.metrics, "MetricsNotFound")
     family_path = _existing(args.family, "FamilyNotFound")
     family = contrast_family_pairs(read_json(family_path), f"{family_path.name}: contrast family")
-    contrasts = compute_contrasts(cell_outcomes(_llm_outcome_rows(metrics_path)), family, drop_unpaired=True)
+    contrasts = compute_contrasts(cell_outcomes(read_llm_rows(metrics_path)), family, drop_unpaired=True)
     output = Path(args.output)
     make_output_dir(output.parent)
     write_json(output, {"contrasts": [c.to_json_obj() for c in contrasts]})
@@ -204,32 +204,6 @@ def cmd_contrast(args: argparse.Namespace) -> int:
             f"p={contrast.mcnemar_p:.6f} holm={contrast.holm_p:.6f} h={contrast.cohens_h:+.4f}"
         )
     return EXIT_OK
-
-
-def _llm_outcome_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
-    """``(cell, incident_id, violated)`` for each LLM run line of ``metrics_runs.jsonl``.
-
-    Baseline lines (empty ``model_id``) sit outside the contrast family and
-    are skipped. Raises ``ParseError: <file>:<line>: …`` for a line that is
-    not JSON or lacks a string ``model_id``, ``arm`` or ``incident_id`` or a
-    boolean ``violated``.
-    """
-    rows = []
-    for number, line in enumerate(io.BytesIO(read_entry(path)), 1):
-        where = f"{path.name}:{number}"
-        try:
-            row = decode_json(line)
-        except ValueError as exc:
-            raise ParseError(f"{where}: not valid JSON: {exc}") from None
-        if not isinstance(row, dict):
-            raise ParseError(f"{where}: a run line must be a JSON object")
-        model_id, arm, incident_id = (
-            json_field(row, key, str, where, ParseError) for key in ("model_id", "arm", "incident_id")
-        )
-        violated = json_field(row, "violated", bool, where, ParseError)
-        if model_id:
-            rows.append(((model_id, arm), incident_id, violated))
-    return rows
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -4,45 +4,26 @@ Overlap metrics are set-based (deduplicated); multiplicity lives only in
 the raw trace. Empty-set conventions (coverage 1.0 on an empty baseline,
 precision 1.0 on an empty plan) keep vacuous cases division-free and let a
 baseline evaluated against itself score exactly 1.0 / 0. A run is held as a
-``RunOutcome`` of set sizes and counts, and ``derive_metrics`` computes every
-ratio from those integers, so a ``RunMetrics`` read twice is the same.
+``RunOutcome`` of set sizes and counts; each ratio is one of its properties,
+computed from those integers. This module also owns the ``metrics_runs.jsonl``
+row format: ``run_row`` writes a row and ``read_llm_rows`` reads them back.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from statistics import NormalDist
 
 from .engine import EDIT_OPERATORS, EnforcementResult
-from .errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch
+from .errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch, ParseError
 from .plans import ProposedPlan
-from .util import record_json
-
-
-@dataclass(frozen=True, slots=True)
-class RunMetrics:
-    incident_id: str
-    model_id: str
-    arm: str
-    violated: bool
-    hard_count: int
-    soft_count: int
-    violations_by_rule: Mapping[str, int]
-    edit_counts: Mapping[str, int]
-    modified: bool
-    coverage: float
-    precision_raw: float
-    precision_enforced: float
-    jaccard_raw: float
-    jaccard_enforced: float
-    delta_jaccard: float
-    llm_only_actions: tuple[str, ...]
-    baseline_only_actions: tuple[str, ...]
-
-    to_json_obj = record_json
+from .util import decode_json, json_field, read_entry, record_json, round4
 
 
 @dataclass
@@ -106,7 +87,7 @@ class StabilityReport:
 
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
-    """One run held as counts: every ``RunMetrics`` field derives from these.
+    """One run, held as counts; every ratio is a property computed from them.
 
     ``n_base``, ``n_raw`` and ``n_enforced`` are the sizes of the baseline
     (B), proposed (R) and enforced (E) action sets; ``n_raw_base`` and
@@ -119,7 +100,7 @@ class RunOutcome:
     hard_count: int
     soft_count: int
     rule_counts: tuple[tuple[str, int], ...]  # (rule id, count), in first-violation order
-    edit_counts: tuple[int, ...]  # in EDIT_OPERATORS order
+    edit_tuple: tuple[int, ...]  # in EDIT_OPERATORS order
     modified: bool
     n_base: int
     n_raw: int
@@ -139,7 +120,39 @@ class RunOutcome:
         return self.n_base > 0 and self.n_enforced_base < self.n_raw_base
 
     def edits(self, operator: str) -> int:
-        return self.edit_counts[EDIT_OPERATORS.index(operator)]
+        return self.edit_tuple[EDIT_OPERATORS.index(operator)]
+
+    @property
+    def violations_by_rule(self) -> dict[str, int]:
+        return dict(self.rule_counts)
+
+    @property
+    def edit_counts(self) -> dict[str, int]:
+        return dict(zip(EDIT_OPERATORS, self.edit_tuple))
+
+    @property
+    def coverage(self) -> float:
+        return _ratio(self.n_enforced_base, self.n_base, empty=1.0)
+
+    @property
+    def precision_raw(self) -> float:
+        return _ratio(self.n_raw_base, self.n_raw, empty=1.0)
+
+    @property
+    def precision_enforced(self) -> float:
+        return _ratio(self.n_enforced_base, self.n_enforced, empty=1.0)
+
+    @property
+    def jaccard_raw(self) -> float:
+        return _ratio(self.n_raw_base, self.n_raw + self.n_base - self.n_raw_base, empty=1.0)
+
+    @property
+    def jaccard_enforced(self) -> float:
+        return _ratio(self.n_enforced_base, self.n_enforced + self.n_base - self.n_enforced_base, empty=1.0)
+
+    @property
+    def delta_jaccard(self) -> float:
+        return self.jaccard_enforced - self.jaccard_raw
 
 
 def _ratio(numerator: int, denominator: int, *, empty: float) -> float:
@@ -169,7 +182,7 @@ def run_outcome(
         hard_count=hard,
         soft_count=len(result.violations) - hard,
         rule_counts=tuple(Counter(v.rule_id for v in result.violations).items()),
-        edit_counts=tuple(result.edit_counts.get(op, 0) for op in EDIT_OPERATORS),
+        edit_tuple=tuple(result.edit_counts.get(op, 0) for op in EDIT_OPERATORS),
         modified=result.modified,
         n_base=len(base_set),
         n_raw=len(raw_set),
@@ -181,70 +194,60 @@ def run_outcome(
     )
 
 
-def derive_metrics(outcome: RunOutcome) -> RunMetrics:
-    """The ratios of one run, each computed here and only here from its counts."""
-    b, eb, rb = outcome.n_base, outcome.n_enforced_base, outcome.n_raw_base
-    jaccard_raw = _ratio(rb, outcome.n_raw + b - rb, empty=1.0)
-    jaccard_enforced = _ratio(eb, outcome.n_enforced + b - eb, empty=1.0)
-    return RunMetrics(
-        incident_id=outcome.incident_id,
-        model_id=outcome.model_id,
-        arm=outcome.arm,
-        violated=outcome.violated,
-        hard_count=outcome.hard_count,
-        soft_count=outcome.soft_count,
-        violations_by_rule=dict(outcome.rule_counts),
-        edit_counts=dict(zip(EDIT_OPERATORS, outcome.edit_counts)),
-        modified=outcome.modified,
-        coverage=_ratio(eb, b, empty=1.0),
-        precision_raw=_ratio(rb, outcome.n_raw, empty=1.0),
-        precision_enforced=_ratio(eb, outcome.n_enforced, empty=1.0),
-        jaccard_raw=jaccard_raw,
-        jaccard_enforced=jaccard_enforced,
-        delta_jaccard=jaccard_enforced - jaccard_raw,
-        llm_only_actions=outcome.llm_only_actions,
-        baseline_only_actions=outcome.baseline_only_actions,
-    )
+# ---------------------------------------------------------------------------
+# The metrics_runs.jsonl row format
+# ---------------------------------------------------------------------------
+
+# RunOutcome properties whose cell mean is the CellSummary field ``mean_<name>``;
+# a run row holds each rounded to 4 places.
+RATIO_COLUMNS = (
+    "coverage", "delta_jaccard", "precision_raw", "precision_enforced", "jaccard_raw", "jaccard_enforced",
+)
+ROW_COLUMNS = (
+    "incident_id", "model_id", "arm", "violated", "hard_count", "soft_count", "violations_by_rule",
+    "edit_counts", "modified", *RATIO_COLUMNS, "llm_only_actions", "baseline_only_actions",
+)
 
 
-def run_metrics(
-    raw: ProposedPlan,
-    result: EnforcementResult,
-    baseline: ProposedPlan,
-) -> RunMetrics:
-    """Set-based overlap and burden metrics for one (plan, enforcement, baseline)."""
-    return derive_metrics(run_outcome(raw, result, baseline))
+def run_row(outcome: RunOutcome) -> str:
+    """One ``metrics_runs.jsonl`` line: the row columns by name, ratios rounded, keys sorted."""
+    row = {name: getattr(outcome, name) for name in ROW_COLUMNS}
+    for name in RATIO_COLUMNS:
+        row[name] = round4(row[name])
+    return json.dumps(row, sort_keys=True) + "\n"
 
 
-class RunMetricsView(Sequence[RunMetrics]):
-    """Read-only runs that derive each ``RunMetrics`` from its outcome when read."""
+def read_llm_rows(path: Path) -> list[tuple[tuple[str, str], str, bool]]:
+    """``(cell, incident_id, violated)`` for each LLM run line of ``metrics_runs.jsonl``.
 
-    __slots__ = ("outcomes",)
-
-    def __init__(self, outcomes: Sequence[RunOutcome]) -> None:
-        self.outcomes = outcomes
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __getitem__(self, index: int) -> RunMetrics:
-        return derive_metrics(self.outcomes[index])
-
-    def __iter__(self) -> Iterator[RunMetrics]:
-        return map(derive_metrics, self.outcomes)
+    Baseline lines (empty ``model_id``) sit outside the contrast family and
+    are skipped. Raises ``ParseError: <file>:<line>: …`` for a line that is
+    not JSON or lacks a string ``model_id``, ``arm`` or ``incident_id`` or a
+    boolean ``violated``.
+    """
+    rows = []
+    for number, line in enumerate(io.BytesIO(read_entry(path)), 1):
+        where = f"{path.name}:{number}"
+        try:
+            row = decode_json(line)
+        except ValueError as exc:
+            raise ParseError(f"{where}: not valid JSON: {exc}") from None
+        if not isinstance(row, dict):
+            raise ParseError(f"{where}: a run line must be a JSON object")
+        model_id, arm, incident_id = (
+            json_field(row, key, str, where, ParseError) for key in ("model_id", "arm", "incident_id")
+        )
+        violated = json_field(row, "violated", bool, where, ParseError)
+        if model_id:
+            rows.append(((model_id, arm), incident_id, violated))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Cell aggregation
 # ---------------------------------------------------------------------------
 
-# RunMetrics fields whose cell mean is the CellSummary field ``mean_<name>``.
-_MEAN_FIELDS = (
-    "coverage", "delta_jaccard", "precision_raw", "precision_enforced", "jaccard_raw", "jaccard_enforced",
-)
-
-
-def aggregate(runs: Iterable[RunMetrics], confidence: float = 0.95) -> CellSummary:
+def aggregate(runs: Iterable[RunOutcome], confidence: float = 0.95) -> CellSummary:
     """Collapse one model/arm cell into rates, burdens, and rule breakdowns.
 
     Takes one pass over ``runs``, so a generator serves as well as a list.
@@ -257,7 +260,7 @@ def aggregate(runs: Iterable[RunMetrics], confidence: float = 0.95) -> CellSumma
     cells: set[tuple[str, str]] = set()
     cell = None
     n = violating = hard = modified = deferred = 0
-    columns = {name: array("d") for name in _MEAN_FIELDS}
+    columns = {name: array("d") for name in RATIO_COLUMNS}
     rule_counts: Counter[str] = Counter()
     rule_run_hits: Counter[str] = Counter()
     for r in runs:
@@ -268,10 +271,10 @@ def aggregate(runs: Iterable[RunMetrics], confidence: float = 0.95) -> CellSumma
         violating += r.violated
         hard += r.hard_count
         modified += r.modified
-        deferred += r.edit_counts.get("defer", 0)
+        deferred += r.edits("defer")
         for name, column in columns.items():
             column.append(getattr(r, name))
-        for rule_id, count in r.violations_by_rule.items():
+        for rule_id, count in r.rule_counts:
             rule_counts[rule_id] += count
             rule_run_hits[rule_id] += 1
     if not n:

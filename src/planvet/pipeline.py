@@ -11,7 +11,6 @@ bytes.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -36,18 +35,17 @@ from .errors import (
 from .metrics import (
     CellSummary,
     ContrastResult,
-    RunMetricsView,
     RunOutcome,
     aggregate,
     cell_name,
-    derive_metrics,
     holm_adjust,
     paired_contrast,
     run_outcome,
+    run_row,
     stability_report,
 )
 from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
-from .util import make_output_dir, present_record, read_json, write_chunks, write_json
+from .util import make_output_dir, read_json, write_chunks, write_json
 
 log = logging.getLogger(__name__)
 
@@ -114,8 +112,9 @@ class RunConfig:
 
         ``None`` values count as absent. Raises ``ConfigIncomplete`` naming
         every required path that is absent, and ``ConfigInvalid`` for a path
-        that is not a string, an unknown approval mode, a confidence that is
-        not a number in (0, 1), a ``skip_gates`` that is not a boolean, a
+        that is not a string, a path or ``rerun_label`` holding a NUL
+        character, an unknown approval mode, a confidence that is not a
+        number in (0, 1), a ``skip_gates`` that is not a boolean, a
         ``rerun_label`` that cannot name a file (empty, not a string, or
         holding ``/`` or ``\\``) or a ``contrast_family`` that is not a list
         of pairs of ``[model, arm]`` string pairs.
@@ -124,6 +123,10 @@ class RunConfig:
         missing = [k for k in REQUIRED_PATHS if k not in obj]
         if missing:
             raise ConfigIncomplete(f"run config is missing {', '.join(missing)}")
+        for key in (*PATH_FIELDS, "rerun_label"):  # no file name can hold NUL
+            value = obj.get(key)
+            if isinstance(value, (str, os.PathLike)) and "\0" in str(value):
+                raise ConfigInvalid(f"{key} must not hold a NUL character, got {str(value)!r}")
         approval_mode = obj.get("approval_mode", MODE_REMOVE)
         if approval_mode not in APPROVAL_MODES:
             raise ConfigInvalid(
@@ -172,8 +175,8 @@ class EvaluationResult:
     cells: dict[CellKey, CellSummary]
     baseline_cell: CellSummary | None  # None when every baseline run failed
     contrasts: list[ContrastResult]
-    runs: RunMetricsView  # derives each RunMetrics when read
-    baseline_runs: RunMetricsView
+    runs: list[RunOutcome]
+    baseline_runs: list[RunOutcome]
     planned: int
     completed: int
     failures: list[dict] = field(default_factory=list)
@@ -305,7 +308,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 
     cells = _aggregate_cells(runs, config.confidence)
     # Failed baselines are in ``failures``; with none left there is no baseline cell.
-    baseline_cell = aggregate(map(derive_metrics, baseline_runs), config.confidence) if baseline_runs else None
+    baseline_cell = aggregate(baseline_runs, config.confidence) if baseline_runs else None
 
     # A failed run drops its incident from the contrasts that involve its cell.
     contrasts = compute_contrasts(
@@ -320,8 +323,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         cells=cells,
         baseline_cell=baseline_cell,
         contrasts=contrasts,
-        runs=RunMetricsView(runs),
-        baseline_runs=RunMetricsView(baseline_runs),
+        runs=runs,
+        baseline_runs=baseline_runs,
         planned=planned,
         completed=len(runs),
         failures=llm_failures + baseline_failures,
@@ -342,7 +345,7 @@ def _aggregate_cells(runs: Sequence[RunOutcome], confidence: float) -> dict[Cell
     grouped: dict[CellKey, list[RunOutcome]] = {}
     for run in runs:
         grouped.setdefault((run.model_id, run.arm), []).append(run)
-    return {key: aggregate(map(derive_metrics, group), confidence) for key, group in sorted(grouped.items())}
+    return {key: aggregate(group, confidence) for key, group in sorted(grouped.items())}
 
 
 def cell_outcomes(rows: Iterable[tuple[CellKey, str, bool]]) -> dict[CellKey, dict[str, bool]]:
@@ -420,10 +423,7 @@ def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[
     config = result.config
     output_dir = make_output_dir(config.output_dir)
 
-    write_chunks(
-        output_dir / "metrics_runs.jsonl",
-        (json.dumps(present_record(run), sort_keys=True) + "\n" for run in chain(result.runs, result.baseline_runs)),
-    )
+    write_chunks(output_dir / "metrics_runs.jsonl", map(run_row, chain(result.runs, result.baseline_runs)))
 
     cell_objs = [result.cells[key].to_json_obj() for key in sorted(result.cells)]
     baseline_obj = None

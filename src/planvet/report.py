@@ -8,8 +8,10 @@ recomputed here.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import ParseError
 from .util import make_output_dir, read_json, round4, write_text
 
 
@@ -45,6 +47,15 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+@contextmanager
+def _reading(name: str):
+    """Turn a lookup that fails on a document of the wrong shape into ``ParseError`` naming it."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise ParseError(f"{name}: wrong document shape: {type(exc).__name__}: {exc}") from None
+
+
 def _outcome_row(label: str, cell: dict | None) -> list[str]:
     if cell is None:  # a cell with no completed runs
         return [label, "0", *["-"] * 6]
@@ -68,125 +79,132 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
     contrasts_doc = read_json(output_dir / "contrasts.json")
     manifest = read_json(output_dir / "manifest.json")
     stability = read_json(output_dir / "stability.json")
+    with _reading("manifest.json"):
+        failed = Counter((run["model_id"], run["arm"]) for run in manifest.get("run_accounting", {}).get("failures", ()))
+    with _reading("stability.json"):
+        no_coverage_loss = stability.get("coverage_loss_runs", 0) == 0
 
     sections = ["# Evaluation report", ""]
 
     # -- outcomes by model and arm -------------------------------------------
-    rows = [_outcome_row(_cell_label(c["model_id"], c["arm"]), c) for c in cells_doc["cells"]]
-    rows.append(_outcome_row("human baseline", cells_doc["baseline"]))
-    sections += [
-        "## Outcomes by model and arm",
-        "",
-        _table(
-            ["Cell", "Runs", "Violation rate", "95% Wilson", "Hard/run", "Edit rate", "Coverage", "dJaccard"],
-            rows,
-        ),
-        "",
-    ]
-
-    # -- paired contrasts ------------------------------------------------------
-    rows = []
-    for contrast in contrasts_doc["contrasts"]:
-        label_a = _cell_label(*contrast["cell_a"])
-        label_b = _cell_label(*contrast["cell_b"])
-        rows.append(
-            [
-                f"{label_a} vs {label_b}",
-                str(contrast["n_pairs"]),
-                f"{contrast['delta_rate']:+.4f}",
-                _fmt_p(contrast["mcnemar_p"]),
-                _fmt_p(contrast["holm_p"]),
-                f"{contrast['cohens_h']:+.4f}",
-            ]
-        )
-    sections += [
-        "## Paired contrasts",
-        "",
-        _table(["Contrast", "n", "Delta rate", "McNemar p", "Holm p", "Cohen's h"], rows),
-        "",
-    ]
-
-    # -- rule burden -----------------------------------------------------------
-    rule_ids = sorted({r for c in cells_doc["cells"] for r in c["rule_counts"]})
-    failed = Counter((run["model_id"], run["arm"]) for run in manifest.get("run_accounting", {}).get("failures", ()))
-    rows = []
-    for cell in cells_doc["cells"]:
-        n, f = cell["n_runs"], failed[cell["model_id"], cell["arm"]]
-        rows.append(
-            [
-                _cell_label(cell["model_id"], cell["arm"]),
-                f"{n}/{n + f}",
-                *[str(cell["rule_counts"].get(r, 0)) for r in rule_ids],
-                str(f),
-            ]
-        )
-    sections += [
-        "## Rule burden by cell",
-        "",
-        _table(["Cell", "Complete", *rule_ids, "Failures"], rows),
-        "",
-    ]
-
-    # -- rule-level treatment rates -------------------------------------------
-    by_key = {(c["model_id"], c["arm"]): c for c in cells_doc["cells"]}
-    models = sorted({m for m, _ in by_key})
-    rows = []
-    for model in models:
-        zero = by_key.get((model, "llm_zero"))
-        policy = by_key.get((model, "llm_policy_prompt"))
-        if not zero or not policy:
-            continue
-        for rule in rule_ids:
-            z = zero["rule_rates"].get(rule, 0.0)
-            p = policy["rule_rates"].get(rule, 0.0)
-            rows.append(
-                [f"{model} / {rule}", _fmt(z), _fmt(p), f"{p - z:+.4f}", str(zero["n_runs"])]
-            )
-    sections += [
-        "## Rule-level treatment rates (zero vs policy arm)",
-        "",
-        _table(["Model/rule", "Zero", "Policy", "Delta", "Runs"], rows),
-        "",
-    ]
-
-    # -- approval deferral sensitivity ----------------------------------------
-    if defer_dir is not None:
-        defer_doc = read_json(Path(defer_dir) / "cell_summaries.json")
-        defer_by_key = {(c["model_id"], c["arm"]): c for c in defer_doc["cells"]}
-        rows = []
-        for key, cell in by_key.items():
-            defer_cell = defer_by_key.get(key)
-            if defer_cell is None:
-                continue
-            rows.append(
-                [
-                    _cell_label(*key),
-                    str(defer_cell["deferred_total"]),
-                    f"{_fmt(cell['mean_precision_enforced'], 3)}/{_fmt(defer_cell['mean_precision_enforced'], 3)}",
-                    f"{_fmt(cell['mean_jaccard_enforced'], 3)}/{_fmt(defer_cell['mean_jaccard_enforced'], 3)}",
-                    "none" if stability.get("coverage_loss_runs", 0) == 0 and defer_cell["mean_coverage"] >= cell["mean_coverage"] else "see metrics",
-                ]
-            )
+    with _reading("cell_summaries.json"):
+        rows = [_outcome_row(_cell_label(c["model_id"], c["arm"]), c) for c in cells_doc["cells"]]
+        rows.append(_outcome_row("human baseline", cells_doc["baseline"]))
         sections += [
-            "## Approval deferral sensitivity",
+            "## Outcomes by model and arm",
             "",
-            _table(["Cell", "Deferred", "Precision remove/defer", "Jaccard remove/defer", "Coverage loss"], rows),
+            _table(
+                ["Cell", "Runs", "Violation rate", "95% Wilson", "Hard/run", "Edit rate", "Coverage", "dJaccard"],
+                rows,
+            ),
             "",
         ]
 
+    # -- paired contrasts ------------------------------------------------------
+    with _reading("contrasts.json"):
+        rows = []
+        for contrast in contrasts_doc["contrasts"]:
+            label_a = _cell_label(*contrast["cell_a"])
+            label_b = _cell_label(*contrast["cell_b"])
+            rows.append(
+                [
+                    f"{label_a} vs {label_b}",
+                    str(contrast["n_pairs"]),
+                    f"{contrast['delta_rate']:+.4f}",
+                    _fmt_p(contrast["mcnemar_p"]),
+                    _fmt_p(contrast["holm_p"]),
+                    f"{contrast['cohens_h']:+.4f}",
+                ]
+            )
+        sections += [
+            "## Paired contrasts",
+            "",
+            _table(["Contrast", "n", "Delta rate", "McNemar p", "Holm p", "Cohen's h"], rows),
+            "",
+        ]
+
+    # -- rule burden -----------------------------------------------------------
+    with _reading("cell_summaries.json"):
+        rule_ids = sorted({r for c in cells_doc["cells"] for r in c["rule_counts"]})
+        rows = []
+        for cell in cells_doc["cells"]:
+            n, f = cell["n_runs"], failed[cell["model_id"], cell["arm"]]
+            rows.append(
+                [
+                    _cell_label(cell["model_id"], cell["arm"]),
+                    f"{n}/{n + f}",
+                    *[str(cell["rule_counts"].get(r, 0)) for r in rule_ids],
+                    str(f),
+                ]
+            )
+        sections += [
+            "## Rule burden by cell",
+            "",
+            _table(["Cell", "Complete", *rule_ids, "Failures"], rows),
+            "",
+        ]
+
+        # -- rule-level treatment rates -------------------------------------------
+        by_key = {(c["model_id"], c["arm"]): c for c in cells_doc["cells"]}
+        models = sorted({m for m, _ in by_key})
+        rows = []
+        for model in models:
+            zero = by_key.get((model, "llm_zero"))
+            policy = by_key.get((model, "llm_policy_prompt"))
+            if not zero or not policy:
+                continue
+            for rule in rule_ids:
+                z = zero["rule_rates"].get(rule, 0.0)
+                p = policy["rule_rates"].get(rule, 0.0)
+                rows.append(
+                    [f"{model} / {rule}", _fmt(z), _fmt(p), f"{p - z:+.4f}", str(zero["n_runs"])]
+                )
+        sections += [
+            "## Rule-level treatment rates (zero vs policy arm)",
+            "",
+            _table(["Model/rule", "Zero", "Policy", "Delta", "Runs"], rows),
+            "",
+        ]
+
+        # -- approval deferral sensitivity ----------------------------------------
+        if defer_dir is not None:
+            defer_doc = read_json(Path(defer_dir) / "cell_summaries.json")
+            defer_by_key = {(c["model_id"], c["arm"]): c for c in defer_doc["cells"]}
+            rows = []
+            for key, cell in by_key.items():
+                defer_cell = defer_by_key.get(key)
+                if defer_cell is None:
+                    continue
+                rows.append(
+                    [
+                        _cell_label(*key),
+                        str(defer_cell["deferred_total"]),
+                        f"{_fmt(cell['mean_precision_enforced'], 3)}/{_fmt(defer_cell['mean_precision_enforced'], 3)}",
+                        f"{_fmt(cell['mean_jaccard_enforced'], 3)}/{_fmt(defer_cell['mean_jaccard_enforced'], 3)}",
+                        "none" if no_coverage_loss and defer_cell["mean_coverage"] >= cell["mean_coverage"] else "see metrics",
+                    ]
+                )
+            sections += [
+                "## Approval deferral sensitivity",
+                "",
+                _table(["Cell", "Deferred", "Precision remove/defer", "Jaccard remove/defer", "Coverage loss"], rows),
+                "",
+            ]
+
     # -- stability --------------------------------------------------------------
-    sections += [
-        "## Rerun stability",
-        "",
-        f"Reruns: {stability['n_reruns']} ({', '.join(stability['labels'])}); "
-        f"coverage-loss runs: {stability['coverage_loss_runs']}.",
-        "",
-    ]
-    bands = stability["quantities"]
-    interesting = [k for k in bands if k.endswith("violation_rate") or k.startswith("rule_totals")]
-    rows = [[k, _fmt(bands[k]["min"]), _fmt(bands[k]["max"])] for k in sorted(interesting)]
-    if rows:
-        sections += [_table(["Quantity", "Min", "Max"], rows), ""]
+    with _reading("stability.json"):
+        sections += [
+            "## Rerun stability",
+            "",
+            f"Reruns: {stability['n_reruns']} ({', '.join(stability['labels'])}); "
+            f"coverage-loss runs: {stability['coverage_loss_runs']}.",
+            "",
+        ]
+        bands = stability["quantities"]
+        interesting = [k for k in bands if k.endswith("violation_rate") or k.startswith("rule_totals")]
+        rows = [[k, _fmt(bands[k]["min"]), _fmt(bands[k]["max"])] for k in sorted(interesting)]
+        if rows:
+            sections += [_table(["Quantity", "Min", "Max"], rows), ""]
 
     return "\n".join(sections)
 

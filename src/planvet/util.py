@@ -27,11 +27,6 @@ def _public_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
 
 
-@cache
-def _float_fields(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.type in ("float", float))
-
-
 def record_json(record: Any) -> dict:
     """The public fields of a dataclass record (names not starting with ``_``), by name.
 
@@ -77,18 +72,6 @@ def present(obj: Any) -> Any:
         return {k: present(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [present(v) for v in obj]
-    return obj
-
-
-def present_record(record: Any) -> dict:
-    """``present(record_json(record))`` for a flat record, rounding only its ``float`` fields.
-
-    Serializes to the same JSON as ``present`` gives, without walking the
-    other values; each field declared ``float`` must hold a float.
-    """
-    obj = record_json(record)
-    for name in _float_fields(type(record)):
-        obj[name] = round4(obj[name])
     return obj
 
 

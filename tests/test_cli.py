@@ -974,6 +974,23 @@ def _report_into_directory(bundle, tmp_path):
     return ["report", "--output-dir", str(evaluated), "--out", _directory(bundle, tmp_path)]
 
 
+def _report_over(documents):
+    """``report`` over a minimal valid evaluation bundle whose JSON files ``documents`` replace."""
+    def argv(bundle, tmp_path):
+        evaluated = tmp_path / "evaluated"
+        evaluated.mkdir()
+        minimal = {
+            "cell_summaries.json": {"cells": [], "baseline": None},
+            "contrasts.json": {"contrasts": []},
+            "manifest.json": {},
+            "stability.json": {"n_reruns": 1, "labels": ["r1"], "coverage_loss_runs": 0, "quantities": {}},
+        }
+        for name, document in {**minimal, **documents}.items():
+            (evaluated / name).write_text(json.dumps(document))
+        return ["report", "--output-dir", str(evaluated)]
+    return argv
+
+
 MALFORMED_INPUTS = [
     pytest.param(_evaluate("--catalog", "catalog.json", lambda d: [1]),
                  "CatalogError", "catalog.json: entry 0 must be a JSON object, got 1", id="catalog-entry-not-object"),
@@ -1025,6 +1042,25 @@ MALFORMED_INPUTS = [
                  "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-backslash"),
     pytest.param(lambda b, t: [*_config_fields()(b, t), "--rerun-label", ""],
                  "ConfigInvalid", "rerun_label must be a non-empty string", id="rerun-label-empty"),
+    pytest.param(_config_fields(catalog_path="a\u0000b"),
+                 "ConfigInvalid", "catalog_path must not hold a NUL character, got ", id="catalog-path-nul"),
+    pytest.param(_config_fields(policy_path="a\u0000b"),
+                 "ConfigInvalid", "policy_path must not hold a NUL character, got ", id="policy-path-nul"),
+    pytest.param(_config_fields(mapping_rules_path="a\u0000b"),
+                 "ConfigInvalid", "mapping_rules_path must not hold a NUL character, got ", id="mapping-rules-path-nul"),
+    pytest.param(_config_fields(output_dir="a\u0000b"),
+                 "ConfigInvalid", "output_dir must not hold a NUL character, got ", id="output-dir-nul"),
+    pytest.param(_config_fields(privacy_patterns_path="a\u0000b"),
+                 "ConfigInvalid", "privacy_patterns_path must not hold a NUL character, got ", id="privacy-patterns-path-nul"),
+    pytest.param(_config_fields(rerun_label="a\u0000b"),
+                 "ConfigInvalid", "rerun_label must not hold a NUL character, got ", id="rerun-label-nul"),
+    pytest.param(_report_over({"cell_summaries.json": {}}),
+                 "ParseError", "cell_summaries.json: wrong document shape: KeyError: 'cells'",
+                 id="report-cell-summaries-object"),
+    pytest.param(_report_over({"stability.json": []}),
+                 "ParseError", "stability.json: wrong document shape: AttributeError", id="report-stability-list"),
+    pytest.param(_report_over({"contrasts.json": {"contrasts": [{"cell_a": 1}]}}),
+                 "ParseError", "contrasts.json: wrong document shape: TypeError", id="report-contrast-cell-number"),
     pytest.param(_corpus_with_directory,
                  "ParseError", "zz.json: cannot read: Is a directory", id="corpus-directory-entry"),
     pytest.param(_proposals_with_directory,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,21 +17,20 @@ from planvet import pipeline
 from planvet.engine import EDIT_OPERATORS, MODE_REMOVE, EnforcementResult, ViolationRecord, enforce_actions
 from planvet.errors import DomainError, EmptyCell, IncidentMismatch, KeyMismatch
 from planvet.metrics import (
-    RunMetrics,
+    RunOutcome,
     aggregate,
     cohens_h,
-    derive_metrics,
     holm_adjust,
     mcnemar_exact,
     paired_contrast,
-    run_metrics,
     run_outcome,
+    run_row,
     stability_report,
     wilson_interval,
 )
 from planvet.pipeline import RunConfig, evaluate
 from planvet.plans import ProposedPlan
-from planvet.util import round4
+from planvet.util import present, round4
 
 
 class TestWilson:
@@ -161,7 +160,7 @@ class TestRunMetrics:
         raw = _plan("inc_x", ["restore_host", "collect_forensics"])
         result = _enforce_for(["restore_host", "collect_forensics"], gated=("restore_host",))
         baseline = _plan("inc_x", ["collect_forensics"], model="", arm="none", source="human_baseline")
-        metrics = run_metrics(raw, result, baseline)
+        metrics = run_outcome(raw, result, baseline)
         assert metrics.precision_raw == 0.5
         assert metrics.precision_enforced == 1.0
         assert metrics.jaccard_raw == 0.5
@@ -174,7 +173,7 @@ class TestRunMetrics:
         raw = _plan("inc_x", ["collect_forensics"])
         result = _enforce_for(["collect_forensics"])
         baseline = _plan("inc_x", ["collect_forensics"], model="", arm="none")
-        metrics = run_metrics(raw, result, baseline)
+        metrics = run_outcome(raw, result, baseline)
         assert metrics.coverage == 1.0
         assert metrics.jaccard_enforced == 1.0
         assert metrics.delta_jaccard == 0.0
@@ -184,7 +183,7 @@ class TestRunMetrics:
         raw = _plan("inc_x", [])
         result = _enforce_for([])
         baseline = _plan("inc_x", [], model="", arm="none")
-        metrics = run_metrics(raw, result, baseline)
+        metrics = run_outcome(raw, result, baseline)
         assert metrics.coverage == 1.0
         assert metrics.precision_raw == 1.0
         assert metrics.jaccard_enforced == 1.0
@@ -193,13 +192,14 @@ class TestRunMetrics:
         raw = _plan("inc_x", [])
         result = _enforce_for([])
         with pytest.raises(IncidentMismatch):
-            run_metrics(raw, result, _plan("inc_y", [], model="", arm="none"))
+            run_outcome(raw, result, _plan("inc_y", [], model="", arm="none"))
 
 
 def reference_run_metrics(raw, result, baseline):
-    """``run_metrics`` as it computed every ratio from the sets themselves.
+    """The 17 run-row fields by name, each ratio computed from the sets themselves.
 
-    Kept as the oracle for the metrics derived from a run's counts.
+    Kept as the oracle for the ``RunOutcome`` properties derived from a run's
+    counts, and for the columns ``run_row`` writes.
     """
     def ratio(numerator, denominator, *, empty):
         return numerator / denominator if denominator else empty
@@ -218,25 +218,25 @@ def reference_run_metrics(raw, result, baseline):
     soft = len(result.violations) - hard
     by_rule = Counter(v.rule_id for v in result.violations)
 
-    return RunMetrics(
-        incident_id=raw.incident_id,
-        model_id=raw.model_id,
-        arm=raw.arm,
-        violated=(hard + soft) >= 1,
-        hard_count=hard,
-        soft_count=soft,
-        violations_by_rule=dict(by_rule),
-        edit_counts=dict(result.edit_counts),
-        modified=result.modified,
-        coverage=coverage,
-        precision_raw=precision_raw,
-        precision_enforced=precision_enforced,
-        jaccard_raw=jaccard_raw,
-        jaccard_enforced=jaccard_enforced,
-        delta_jaccard=jaccard_enforced - jaccard_raw,
-        llm_only_actions=tuple(sorted(raw_set - base_set)),
-        baseline_only_actions=tuple(sorted(base_set - raw_set)),
-    )
+    return {
+        "incident_id": raw.incident_id,
+        "model_id": raw.model_id,
+        "arm": raw.arm,
+        "violated": (hard + soft) >= 1,
+        "hard_count": hard,
+        "soft_count": soft,
+        "violations_by_rule": dict(by_rule),
+        "edit_counts": dict(result.edit_counts),
+        "modified": result.modified,
+        "coverage": coverage,
+        "precision_raw": precision_raw,
+        "precision_enforced": precision_enforced,
+        "jaccard_raw": jaccard_raw,
+        "jaccard_enforced": jaccard_enforced,
+        "delta_jaccard": jaccard_enforced - jaccard_raw,
+        "llm_only_actions": tuple(sorted(raw_set - base_set)),
+        "baseline_only_actions": tuple(sorted(base_set - raw_set)),
+    }
 
 
 def reference_lost_coverage(plan, result, baseline):
@@ -271,36 +271,32 @@ class TestRunOutcome:
         result = EnforcementResult(tuple(enforced), tuple(violations), modified, edit_counts, MODE_REMOVE)
         expected = reference_run_metrics(raw_plan, result, base_plan)
         outcome = run_outcome(raw_plan, result, base_plan)
-        derived = derive_metrics(outcome)
-        for name in (f.name for f in fields(RunMetrics)):
-            assert getattr(derived, name) == getattr(expected, name), name
-        assert run_metrics(raw_plan, result, base_plan) == expected
+        for name, value in expected.items():
+            assert getattr(outcome, name) == value, name
+        assert json.loads(run_row(outcome)) == present(expected)
         assert outcome.lost_coverage == reference_lost_coverage(raw_plan, result, base_plan)
 
 
-def _alive_run_metrics() -> int:
+def _alive_run_outcomes() -> int:
     gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is RunMetrics)
+    return sum(1 for obj in gc.get_objects() if type(obj) is RunOutcome)
 
 
 class TestWorkingSet:
     def test_evaluate_holds_no_run_metrics(self, bundle, tmp_path, monkeypatch):
+        """Each run is held once, as its ``RunOutcome``: 800 LLM runs and 200 baselines."""
         write_outputs = pipeline._write_outputs
         alive_at_write = []
 
         def counted(*args, **kwargs):
-            alive_at_write.append(_alive_run_metrics())
+            alive_at_write.append(_alive_run_outcomes())
             return write_outputs(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "_write_outputs", counted)
-        before = _alive_run_metrics()
+        before = _alive_run_outcomes()
         result = evaluate(RunConfig.from_json(bundle / "config.json", output_dir=str(tmp_path / "out")))
-        assert alive_at_write == [before]
-
-        runs = list(result.runs)
-        assert runs == list(result.runs)
-        assert len(result.runs) == len(runs) == result.completed == 800
-        assert result.runs[0] == runs[0] and result.runs[-1] == runs[-1]
+        assert alive_at_write == [before + 1000]
+        assert len(result.runs) == result.completed == 800
         assert len(result.baseline_runs) == 200
 
 
@@ -337,7 +333,7 @@ class TestAggregate:
         raw = _plan("inc_x", ["collect_forensics"])
         result = _enforce_for(["collect_forensics"])
         baseline = _plan("inc_x", ["collect_forensics"], model="m", arm="llm_zero")
-        cell = aggregate([run_metrics(raw, result, baseline)])
+        cell = aggregate([run_outcome(raw, result, baseline)])
         assert cell.violation_rate == 0.0
         assert cell.hard_per_run == 0.0
         assert cell.edit_rate == 0.0

@@ -15,9 +15,9 @@ import pytest
 from planvet.corpus import ApprovalEvidence, IncidentPackage, PackageFile, TaskRecord, TelemetryEvent
 from planvet.engine import EnforcementResult, ViolationRecord
 from planvet.mapping import MappedTask
-from planvet.metrics import RunMetrics, RunOutcome
+from planvet.metrics import ROW_COLUMNS, RunOutcome, run_row
 from planvet.plans import ProposedPlan
-from planvet.util import present, present_record, record_json, round4
+from planvet.util import present, round4
 
 
 def _decimal_round4(value: float) -> float:
@@ -67,9 +67,11 @@ def test_round4_matches_decimal_on_edge_values():
         assert _outcome(round4, value) == _outcome(_decimal_round4, value), value
 
 
-def test_present_record_serializes_as_present(official_eval, defer_eval):
-    for run in [*official_eval.runs, *official_eval.baseline_runs, *defer_eval.runs]:
-        assert json.dumps(present_record(run), sort_keys=True) == json.dumps(present(record_json(run)), sort_keys=True)
+def test_run_row_serializes_as_present(official_eval, defer_eval):
+    for evaluation in (official_eval, defer_eval):
+        for run in [*evaluation.runs, *evaluation.baseline_runs]:
+            row = {name: getattr(run, name) for name in ROW_COLUMNS}
+            assert run_row(run) == json.dumps(present(row), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +80,7 @@ def test_present_record_serializes_as_present(official_eval, defer_eval):
 
 RECORD_TYPES = [
     ProposedPlan, IncidentPackage, TelemetryEvent, ApprovalEvidence, TaskRecord,
-    PackageFile, ViolationRecord, EnforcementResult, RunMetrics, RunOutcome, MappedTask,
+    PackageFile, ViolationRecord, EnforcementResult, RunOutcome, MappedTask,
 ]
 
 
