@@ -65,6 +65,5 @@ from .plans import (  # noqa: F401
     ProposedPlan,
     iter_proposals,
     load_proposals,
-    out_of_catalog_rate,
     parse_proposal,
 )

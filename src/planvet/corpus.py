@@ -1,11 +1,12 @@
 """Canonical incident packages: the public, auditable evidence surface.
 
 One JSON file per incident, filename ``<incident_id>.json``. Each file is
-read once: its SHA-256 is taken from the bytes that are parsed, and the
-document is checked against ``schema/incident_package.json`` by a stdlib
-validator compiled from that schema. Packages are immutable after load;
-loading is order-deterministic (lexicographic incident id) and records the
-per-file digests for manifests.
+read once, and the document is checked against
+``schema/incident_package.json`` by a stdlib validator compiled from that
+schema. Each read file carries the bytes it parsed, so a caller that writes
+digests (``evaluate``'s corpus manifest) hashes exactly those bytes in the
+same pass. Packages are immutable after load; loading is order-deterministic
+(lexicographic incident id).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Mapping
 from .catalog import ActionCatalog
 from .errors import IncidentNotFound, ParseError, SchemaError
 from .plans import ARM_NONE, SOURCE_BASELINE, ProposedPlan
-from .util import decode_json, json_names, read_entry, sha256_bytes
+from .util import decode_json, json_names, read_entry
 
 # Approval evidence derived from the task-to-action contract rather than
 # from recorded approval logs. The verifier accepts it; the release gate
@@ -69,10 +70,9 @@ class IncidentPackage:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Loaded corpus: packages in incident-id order plus per-file digests."""
+    """Loaded corpus: packages in incident-id order."""
 
     packages: tuple[IncidentPackage, ...]
-    digests: Mapping[str, str] = field(default_factory=dict)  # filename -> sha256
     _by_id: Mapping[str, IncidentPackage] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -274,10 +274,10 @@ def schema_defect(document: object) -> str | None:
 
 @dataclass(frozen=True, slots=True)
 class PackageFile:
-    """One corpus file, read once: its digest, parsed document and first defect."""
+    """One corpus file, read once: its bytes, parsed document and first defect."""
 
     name: str
-    sha256: str  # of the bytes that were parsed; empty when they could not be read
+    data: bytes  # the bytes that were parsed; empty when they could not be read
     document: object = None  # parsed JSON; None when the bytes did not parse
     defect: ParseError | SchemaError | None = None  # message starts with the file name
 
@@ -286,21 +286,20 @@ def read_package(path: Path | str) -> PackageFile:
     """Read one package file once and check it against the schema.
 
     An entry that cannot be read (a directory named ``*.json``, say) is a
-    ``ParseError`` defect naming the file, with an empty digest.
+    ``ParseError`` defect naming the file, with empty bytes.
     """
     name = os.path.basename(path)
     try:
         data = read_entry(path)
     except ParseError as exc:
-        return PackageFile(name, "", defect=exc)
-    digest = sha256_bytes(data)
+        return PackageFile(name, b"", defect=exc)
     try:
         document = decode_json(data)
     except ValueError as exc:  # not UTF-8, not JSON, nested too deeply, or an oversized number
-        return PackageFile(name, digest, defect=ParseError(f"{name}: invalid JSON: {exc}"))
+        return PackageFile(name, data, defect=ParseError(f"{name}: invalid JSON: {exc}"))
     found = schema_defect(document)
     defect = SchemaError(f"{name}: {found}") if found else None
-    return PackageFile(name, digest, document, defect)
+    return PackageFile(name, data, document, defect)
 
 
 def read_packages(directory: Path | str) -> Iterator[PackageFile]:
@@ -340,18 +339,16 @@ def load_corpus(
     the package schema (phase gate included), filename equals incident id,
     catalog resolution of baseline actions and approvals, approval-gate
     consistency, task ordering. ``visit`` sees every file as it is read,
-    which lets the release gate share this single pass. Every file is read
-    even after a defect, so ``visit`` always sees the whole corpus; the
-    first defect in filename order is then raised as ``ParseError`` or
-    ``SchemaError``.
+    which lets the release gate and the corpus digests share this single
+    pass. Every file is read even after a defect, so ``visit`` always sees
+    the whole corpus; the first defect in filename order is then raised as
+    ``ParseError`` or ``SchemaError``.
     """
     packages: list[IncidentPackage] = []
-    digests: dict[str, str] = {}
     first_defect: ParseError | SchemaError | None = None
     for package_file in read_packages(directory):
         if visit is not None:
             visit(package_file)
-        digests[package_file.name] = package_file.sha256
         if first_defect is None:
             try:
                 packages.append(_build_package(package_file, catalog))
@@ -360,7 +357,7 @@ def load_corpus(
     if first_defect is not None:
         raise first_defect
     packages.sort(key=lambda p: p.incident_id)
-    return Corpus(packages=tuple(packages), digests=digests)
+    return Corpus(packages=tuple(packages))
 
 
 def _build_package(package_file: PackageFile, catalog: ActionCatalog) -> IncidentPackage:

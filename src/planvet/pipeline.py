@@ -18,9 +18,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .audit import GateReport, ReleaseGate, build_manifest, load_gate_inputs
+from .audit import ReleaseGate, build_manifest, load_gate_inputs
 from .catalog import ActionCatalog, ValidatedPolicy, load_catalog, load_policy_rules, validate_policy
-from .corpus import Corpus, baseline_plan, load_corpus
+from .corpus import Corpus, PackageFile, baseline_plan, load_corpus
 from .engine import APPROVAL_MODES, MODE_REMOVE, enforce
 from .errors import (
     ConfigIncomplete,
@@ -45,7 +45,7 @@ from .metrics import (
     stability_report,
 )
 from .plans import SOURCE_BASELINE, ProposedPlan, load_proposals
-from .util import make_output_dir, read_json, write_chunks, write_json
+from .util import json_names, make_output_dir, present, read_json, sha256_bytes, write_chunks, write_json
 
 log = logging.getLogger(__name__)
 
@@ -188,29 +188,39 @@ class EvaluationResult:
 # Gate + input loading
 # ---------------------------------------------------------------------------
 
-def load_gated_corpus(config: RunConfig, catalog: ActionCatalog, mapping_rules) -> Corpus:
-    """Load the corpus in one pass that also feeds the release gate.
+def load_gated_corpus(config: RunConfig, catalog: ActionCatalog, mapping_rules) -> tuple[Corpus, dict[str, str]]:
+    """Load the corpus in one pass that also feeds the release gate; returns it with its digests.
 
-    Each package file is read, hashed and validated once; the gate and the
-    loader both take it from there. A failed gate outranks a loader defect,
-    as it did when the gate ran over the corpus before the loader.
+    Each package file is read and validated once; the gate, the loader and
+    the digest (``filename -> SHA-256`` of the bytes parsed, for the corpus
+    manifest) all take it from there. A failed gate outranks a loader
+    defect, as it did when the gate ran over the corpus before the loader.
     """
+    digests: dict[str, str] = {}
+    gate = None
     if config.skip_gates:
         log.warning("release gates skipped by configuration; corpus is ungated")
-        return load_corpus(config.corpus_dir, catalog)
-    patterns, terms = load_gate_inputs(config.privacy_patterns_path, config.forbidden_terms_path)
-    gate = ReleaseGate(catalog, mapping_rules, forbidden_terms=terms, patterns=patterns)
+    else:
+        patterns, terms = load_gate_inputs(config.privacy_patterns_path, config.forbidden_terms_path)
+        gate = ReleaseGate(catalog, mapping_rules, forbidden_terms=terms, patterns=patterns)
+
+    def visit(package_file: PackageFile) -> None:
+        digests[package_file.name] = sha256_bytes(package_file.data)
+        if gate is not None:
+            gate.add(package_file)
+
     try:
-        corpus = load_corpus(config.corpus_dir, catalog, visit=gate.add)
+        corpus = load_corpus(config.corpus_dir, catalog, visit=visit)
     except (ParseError, SchemaError):
-        _require_pass(gate.report())
+        _require_pass(gate)
         raise
-    _require_pass(gate.report())
-    return corpus
+    _require_pass(gate)
+    return corpus, digests
 
 
-def _require_pass(report: GateReport) -> None:
-    if not report.overall_pass:
+def _require_pass(gate: ReleaseGate | None) -> None:
+    """Raise ``ReleaseGateFailed`` unless the gate passed; no gate (``skip_gates``) passes."""
+    if gate is not None and not (report := gate.report()).overall_pass:
         raise ReleaseGateFailed(
             "release gate failed: "
             f"privacy={report.privacy_pass} parseability={report.parseability_pass} "
@@ -234,16 +244,16 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         path = getattr(config, key)
         if not path.is_dir():
             raise ConfigInvalid(f"{key} {path} is not a directory")
+    prior_summaries = _read_prior_summaries(config.output_dir, config.rerun_label)
     catalog = load_catalog(config.catalog_path)
     rules, policy_sha = load_policy_rules(config.policy_path)
     policy = validate_policy(catalog, rules, source_sha256=policy_sha)
     mapping_rules, mapping_sha = load_mapping_rules(config.mapping_rules_path)
 
-    corpus = load_gated_corpus(config, catalog, mapping_rules)
-    # Only the packages, digests and count are kept, so each package can be
+    corpus, digests = load_gated_corpus(config, catalog, mapping_rules)
+    # Only the packages and digests are kept, so each package can be
     # released once its incident's runs are done.
     packages = {pkg.incident_id: pkg for pkg in corpus}
-    digests, planned_baselines = corpus.digests, len(corpus)
     del corpus
     proposals = load_proposals(config.proposals_dir, catalog)
     if not proposals:
@@ -331,8 +341,25 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         coverage_loss_runs=coverage_loss,
         summary=_corpus_summary(config.rerun_label, cells, runs, coverage_loss),
     )
-    _write_outputs(evaluation, mapping_sha, digests, planned_baselines)
+    _write_outputs(evaluation, mapping_sha, digests, prior_summaries)
     return evaluation
+
+
+def _read_prior_summaries(output_dir: Path, label: str) -> dict[str, dict]:
+    """The other reruns' ``summary_*.json`` in ``output_dir`` by file name, read before anything is written.
+
+    ``summary_<label>.json`` is left out: this run replaces it. A file that is
+    not JSON, or not an object with every ``SUMMARY_KEYS`` key, raises ``ParseError`` naming it.
+    """
+    summaries = {}
+    for name in json_names(output_dir):
+        if not name.startswith("summary_") or name == f"summary_{label}.json":
+            continue
+        summary = read_json(Path(output_dir) / name)
+        if not isinstance(summary, dict) or not all(key in summary for key in SUMMARY_KEYS):
+            raise ParseError(f"{name}: not a rerun summary (a JSON object with {', '.join(SUMMARY_KEYS)})")
+        summaries[name] = summary
+    return summaries
 
 
 def _popped(proposals: list[ProposedPlan], incident_id: str) -> Iterator[ProposedPlan]:
@@ -415,11 +442,14 @@ def _corpus_summary(
     }
 
 
+SUMMARY_KEYS = tuple(_corpus_summary("", {}, (), 0))  # the keys of every rerun summary, in order
+
+
 # ---------------------------------------------------------------------------
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[str, str], planned_baselines: int) -> None:
+def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[str, str], prior: Mapping) -> None:
     config = result.config
     output_dir = make_output_dir(config.output_dir)
 
@@ -435,12 +465,12 @@ def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[
 
     write_json(output_dir / f"summary_{config.rerun_label}.json", result.summary)
 
-    # Stability bands cover every labeled rerun present in the output dir,
-    # including the one just written.
-    summary_files = sorted(output_dir.glob("summary_*.json"))
-    summaries = [read_json(p) for p in summary_files]
-    labels = [p.stem.removeprefix("summary_") for p in summary_files]
-    report = stability_report(summaries, labels)
+    # Stability bands cover every labeled rerun in the output dir: the ones
+    # read before the run and this one, as written (rounded), in file name order.
+    summaries = {**prior, f"summary_{config.rerun_label}.json": present(result.summary)}
+    names = sorted(summaries)
+    labels = [name.removeprefix("summary_").removesuffix(".json") for name in names]
+    report = stability_report([summaries[name] for name in names], labels)
     write_json(output_dir / "stability.json", report.to_json_obj())
 
     write_json(output_dir / "corpus_manifest.json", dict(sorted(digests.items())), rounded=False)
@@ -462,7 +492,7 @@ def _write_outputs(result: EvaluationResult, mapping_sha: str, digests: Mapping[
                 "completed_llm_runs": result.completed,
                 "failed_llm_runs": result.planned - result.completed,
                 "failures": result.failures,
-                "planned_baselines": planned_baselines,
+                "planned_baselines": len(digests),  # one per corpus file
                 "completed_baselines": len(result.baseline_runs),
             },
         },

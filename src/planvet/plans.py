@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .catalog import ActionCatalog
 from .errors import MissingField, ParseError, WrongType
@@ -95,14 +95,6 @@ def parse_proposal(
         actions=tuple(actions),
         out_of_catalog=tuple(rejected),
     )
-
-
-def out_of_catalog_rate(plans: Sequence[ProposedPlan]) -> float:
-    """Fraction of plans with at least one rejected token; 0.0 on empty input."""
-    if not plans:
-        return 0.0
-    dirty = sum(1 for p in plans if p.out_of_catalog)
-    return dirty / len(plans)
 
 
 def iter_proposals(directory: Path | str, catalog: ActionCatalog) -> Iterator[ProposedPlan]:

@@ -47,6 +47,10 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]:
+    return [f"## {title}", "", _table(headers, rows), ""]
+
+
 @contextmanager
 def _reading(name: str):
     """Turn a lookup that fails on a document of the wrong shape into ``ParseError`` naming it."""
@@ -90,38 +94,18 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
     with _reading("cell_summaries.json"):
         rows = [_outcome_row(_cell_label(c["model_id"], c["arm"]), c) for c in cells_doc["cells"]]
         rows.append(_outcome_row("human baseline", cells_doc["baseline"]))
-        sections += [
-            "## Outcomes by model and arm",
-            "",
-            _table(
-                ["Cell", "Runs", "Violation rate", "95% Wilson", "Hard/run", "Edit rate", "Coverage", "dJaccard"],
-                rows,
-            ),
-            "",
-        ]
+        headers = ["Cell", "Runs", "Violation rate", "95% Wilson", "Hard/run", "Edit rate", "Coverage", "dJaccard"]
+        sections += _section("Outcomes by model and arm", headers, rows)
 
     # -- paired contrasts ------------------------------------------------------
     with _reading("contrasts.json"):
         rows = []
         for contrast in contrasts_doc["contrasts"]:
-            label_a = _cell_label(*contrast["cell_a"])
-            label_b = _cell_label(*contrast["cell_b"])
-            rows.append(
-                [
-                    f"{label_a} vs {label_b}",
-                    str(contrast["n_pairs"]),
-                    f"{contrast['delta_rate']:+.4f}",
-                    _fmt_p(contrast["mcnemar_p"]),
-                    _fmt_p(contrast["holm_p"]),
-                    f"{contrast['cohens_h']:+.4f}",
-                ]
-            )
-        sections += [
-            "## Paired contrasts",
-            "",
-            _table(["Contrast", "n", "Delta rate", "McNemar p", "Holm p", "Cohen's h"], rows),
-            "",
-        ]
+            label = f"{_cell_label(*contrast['cell_a'])} vs {_cell_label(*contrast['cell_b'])}"
+            rows.append([label, str(contrast["n_pairs"]), f"{contrast['delta_rate']:+.4f}",
+                         _fmt_p(contrast["mcnemar_p"]), _fmt_p(contrast["holm_p"]), f"{contrast['cohens_h']:+.4f}"])
+        headers = ["Contrast", "n", "Delta rate", "McNemar p", "Holm p", "Cohen's h"]
+        sections += _section("Paired contrasts", headers, rows)
 
     # -- rule burden -----------------------------------------------------------
     with _reading("cell_summaries.json"):
@@ -129,20 +113,9 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
         rows = []
         for cell in cells_doc["cells"]:
             n, f = cell["n_runs"], failed[cell["model_id"], cell["arm"]]
-            rows.append(
-                [
-                    _cell_label(cell["model_id"], cell["arm"]),
-                    f"{n}/{n + f}",
-                    *[str(cell["rule_counts"].get(r, 0)) for r in rule_ids],
-                    str(f),
-                ]
-            )
-        sections += [
-            "## Rule burden by cell",
-            "",
-            _table(["Cell", "Complete", *rule_ids, "Failures"], rows),
-            "",
-        ]
+            counts = [str(cell["rule_counts"].get(r, 0)) for r in rule_ids]
+            rows.append([_cell_label(cell["model_id"], cell["arm"]), f"{n}/{n + f}", *counts, str(f)])
+        sections += _section("Rule burden by cell", ["Cell", "Complete", *rule_ids, "Failures"], rows)
 
         # -- rule-level treatment rates -------------------------------------------
         by_key = {(c["model_id"], c["arm"]): c for c in cells_doc["cells"]}
@@ -156,15 +129,9 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
             for rule in rule_ids:
                 z = zero["rule_rates"].get(rule, 0.0)
                 p = policy["rule_rates"].get(rule, 0.0)
-                rows.append(
-                    [f"{model} / {rule}", _fmt(z), _fmt(p), f"{p - z:+.4f}", str(zero["n_runs"])]
-                )
-        sections += [
-            "## Rule-level treatment rates (zero vs policy arm)",
-            "",
-            _table(["Model/rule", "Zero", "Policy", "Delta", "Runs"], rows),
-            "",
-        ]
+                rows.append([f"{model} / {rule}", _fmt(z), _fmt(p), f"{p - z:+.4f}", str(zero["n_runs"])])
+        headers = ["Model/rule", "Zero", "Policy", "Delta", "Runs"]
+        sections += _section("Rule-level treatment rates (zero vs policy arm)", headers, rows)
 
         # -- approval deferral sensitivity ----------------------------------------
         if defer_dir is not None:
@@ -184,12 +151,8 @@ def render_report(output_dir: Path | str, defer_dir: Path | str | None = None) -
                         "none" if no_coverage_loss and defer_cell["mean_coverage"] >= cell["mean_coverage"] else "see metrics",
                     ]
                 )
-            sections += [
-                "## Approval deferral sensitivity",
-                "",
-                _table(["Cell", "Deferred", "Precision remove/defer", "Jaccard remove/defer", "Coverage loss"], rows),
-                "",
-            ]
+            headers = ["Cell", "Deferred", "Precision remove/defer", "Jaccard remove/defer", "Coverage loss"]
+            sections += _section("Approval deferral sensitivity", headers, rows)
 
     # -- stability --------------------------------------------------------------
     with _reading("stability.json"):

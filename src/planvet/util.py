@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import fields
@@ -13,9 +12,18 @@ from typing import Any, Iterable
 
 from .errors import IoError, ParseError
 
+try:  # the built-in SHA-256: hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS) through _hashlib
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256 as _sha256
+
 
 def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    """Hex SHA-256 of ``data``; the same digest as ``hashlib.sha256(data).hexdigest()``."""
+    return _sha256(data).hexdigest()
 
 
 def sha256_text(text: str) -> str:

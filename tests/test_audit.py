@@ -443,9 +443,9 @@ class TestGatedLoad:
 
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
-        corpus = load_gated_corpus(self._config(bundle, corpus_dir), catalog, mapping_rules)
+        corpus, digests = load_gated_corpus(self._config(bundle, corpus_dir), catalog, mapping_rules)
         assert len(corpus) == 200
-        assert sorted(opened) == sorted(p.name for p in corpus_dir.glob("*.json"))
+        assert sorted(opened) == sorted(digests) == sorted(p.name for p in corpus_dir.glob("*.json"))
 
     def test_gate_failure_outranks_loader_defect(self, bundle, tmp_path, catalog, mapping_rules):
         from planvet.fixtures import incident_obj

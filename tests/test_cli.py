@@ -689,9 +689,9 @@ def test_evaluate_releases_each_package_after_its_incident(bundle, tmp_path, mon
     live_at_last_baseline = []
 
     def load_gated_corpus(*args):
-        corpus = real_load(*args)
+        corpus, digests = real_load(*args)
         loaded.update(map(id, corpus))
-        return corpus
+        return corpus, digests
 
     def enforce(plan, *args):
         if plan.source == SOURCE_BASELINE and plan.incident_id == "inc_0200":
@@ -714,6 +714,41 @@ def test_metrics_runs_path_that_is_a_directory_is_a_named_error(bundle, tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"IoError: cannot write {out / 'metrics_runs.jsonl'}")
     assert "Traceback" not in err
+
+
+def _tree(directory):
+    return {path.relative_to(directory): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "stray, message",
+    [
+        ("[", "summary_zz.json: not valid JSON"),
+        ('{"cells": 5}', "summary_zz.json: not a rerun summary (a JSON object with rerun_label, cells, "),
+    ],
+    ids=["not-json", "not-a-summary"],
+)
+def test_stray_summary_stops_evaluate_before_any_output(bundle, tmp_path, capsys, stray, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary_zz.json").write_text(stray)
+    (out / "summary_r1.json").write_text("[")  # this run's own label: it would be replaced, not read
+    before = _tree(out)
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: {message}")
+    assert "Traceback" not in err
+    assert _tree(out) == before
+    assert sorted(path.name for path in out.iterdir()) == ["summary_r1.json", "summary_zz.json"]
+
+
+def test_summary_of_this_runs_label_is_replaced_not_read(bundle, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary_r1.json").write_text("[")
+    assert main(["evaluate", "--config", str(bundle / "config.json"), "--output-dir", str(out)]) == 0
+    assert json.loads((out / "summary_r1.json").read_text())["rerun_label"] == "r1"
+    assert json.loads((out / "stability.json").read_text())["labels"] == ["r1"]
 
 
 def test_report_creates_the_parent_of_its_out_path(official_eval, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planvet.errors import MissingField, ParseError, WrongType
-from planvet.plans import out_of_catalog_rate, parse_proposal
+from planvet.plans import parse_proposal
 
 CATALOG_IDS = (
     "collect_forensics",
@@ -97,23 +97,6 @@ class TestParseProposal:
         second = _parse(reserialized, catalog)
         assert set(second.actions) == set(first.actions)
         assert _parse(doc, catalog) == first  # parsing itself is deterministic
-
-
-class TestOutOfCatalogRate:
-    def test_empty_list_is_zero(self):
-        assert out_of_catalog_rate([]) == 0.0
-
-    def test_counting(self, catalog):
-        clean = _parse('{"recommended_actions": ["isolate_host"]}', catalog)
-        dirty = _parse('{"recommended_actions": ["nope"]}', catalog)
-        assert out_of_catalog_rate([clean, dirty, clean, clean]) == 0.25
-
-    def test_official_bundle_is_clean(self, bundle, catalog):
-        from planvet.plans import load_proposals
-
-        plans = load_proposals(bundle / "proposals", catalog)
-        assert len(plans) == 800
-        assert out_of_catalog_rate(plans) == 0.0
 
 
 def test_proposal_shares_its_incident_id_with_the_package(bundle, catalog):
